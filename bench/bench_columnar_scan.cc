@@ -1,26 +1,19 @@
 // B13 — columnar segment layout with vectorized scan (docs/STORAGE.md
-// "Columnar layout"): sealed segments hold per-column dictionary/RLE
-// encodings chosen at seal time, and the scan consumers evaluate compiled
-// predicates chunk-at-a-time (vm::PredProgram::EvalBatch) with late
-// materialization. This bench pins both claims on the cold, unpruned retail
-// warehouse:
+// "Columnar layout"): sealed segments hold per-column dictionary/RLE/
+// frame-of-reference encodings chosen at seal time, and the scan consumers
+// evaluate compiled predicates chunk-at-a-time (vm::PredProgram::EvalBatch)
+// with late materialization. This bench pins both on the cold, unpruned
+// retail warehouse:
 //
-//   * speed — the columnar=1 rows (encoded segments + batch path) against
-//     their columnar=0 twins (plain segments + the PR-8 compiled row path),
-//     same thread count, caches disabled, full-history window so zone-map
-//     pruning keeps every segment;
+//   * speed — caches disabled, full-history window so zone-map pruning keeps
+//     every segment, across pool sizes {1, 2, 4, 8};
 //   * space — `bytes_sealed` vs `bytes_sealed_row`: resident bytes of the
 //     sealed segments against what the same rows cost un-encoded.
 //
-// `snapshot_crc` must be identical across columnar on/off and every thread
-// count — the layout changes cost, never bytes. tools/bench_diff.py pairs
-// the cold rows by thread count (the columnar guard, mirroring the VM guard)
-// and fails CI when the columnar row loses to the row-path twin or any CRC
-// drifts.
-//
-// The kill switch is read at *seal* time, so each variant builds its own
-// warehouse: columnar=0 rows really store plain rows, not encoded segments
-// walked by the row iterator.
+// `snapshot_crc` must be identical across every thread count, and
+// tools/bench_diff.py checks it against the committed baseline rows
+// (bench/results/columnar_scan_sweep.json), whose row-path (columnar=0)
+// rows record the historical comparison.
 
 #include "bench_common.h"
 
@@ -129,15 +122,8 @@ void SealedBytes(const SubcubeManager& m, size_t* resident, size_t* row_eq) {
 }
 
 // Cold (result/program caches disabled), unpruned (full-history window, so
-// every segment survives planning and the delta is pure scan-path cost).
-// `columnar_on` flips DWRED_COLUMNAR_DISABLED *before* the warehouse is
-// built — the encoding decision is seal-time.
-void RunColumnarQuery(benchmark::State& state, bool columnar_on, int threads) {
-  if (columnar_on) {
-    ::unsetenv("DWRED_COLUMNAR_DISABLED");
-  } else {
-    ::setenv("DWRED_COLUMNAR_DISABLED", "1", 1);
-  }
+// every segment survives planning and the time is pure scan-path cost).
+void RunColumnarQuery(benchmark::State& state, int threads) {
   ::setenv("DWRED_CACHE_DISABLED", "1", 1);
   RetailWarehouse wh = MakeRetailWarehouse(static_cast<size_t>(state.range(0)));
   std::shared_ptr<PredExpr> pred =
@@ -160,7 +146,6 @@ void RunColumnarQuery(benchmark::State& state, bool columnar_on, int threads) {
   SealedBytes(*wh.mgr, &sealed, &sealed_row);
   state.counters["snapshot_crc"] = static_cast<double>(crc);
   state.counters["threads"] = threads;
-  state.counters["columnar"] = columnar_on ? 1 : 0;
   state.counters["cold"] = 1;
   state.counters["bytes_sealed"] = static_cast<double>(sealed);
   state.counters["bytes_sealed_row"] = static_cast<double>(sealed_row);
@@ -170,35 +155,25 @@ void RunColumnarQuery(benchmark::State& state, bool columnar_on, int threads) {
   state.SetItemsProcessed(static_cast<int64_t>(state.range(0)) *
                           state.iterations());
   exec::ThreadPool::ResetGlobal(0);  // back to the DWRED_THREADS default
-  ::unsetenv("DWRED_COLUMNAR_DISABLED");
   ::unsetenv("DWRED_CACHE_DISABLED");
 }
 
-// The headline pair: serial cold unpruned scan, columnar on vs off.
-// tools/bench_diff.py matches these rows (same threads, cold == 1, by the
-// `columnar` counter) and fails when the batch path loses to the row path.
+// The headline row: serial cold unpruned scan.
 void BM_ColumnarScanColdColumnar(benchmark::State& state) {
-  RunColumnarQuery(state, /*columnar_on=*/true, /*threads=*/1);
+  RunColumnarQuery(state, /*threads=*/1);
 }
 BENCHMARK(BM_ColumnarScanColdColumnar)
     ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ColumnarScanColdRow(benchmark::State& state) {
-  RunColumnarQuery(state, /*columnar_on=*/false, /*threads=*/1);
-}
-BENCHMARK(BM_ColumnarScanColdRow)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
-
-// Thread sweep x columnar on/off: eight rows in the sidecar, one
-// snapshot_crc.
+// Thread sweep: four rows in the sidecar, one snapshot_crc. Arguments are
+// (facts, threads, 1); the constant last argument keeps the row names of the
+// committed baseline's columnar rows.
 void BM_ColumnarScanSweep(benchmark::State& state) {
-  RunColumnarQuery(state, state.range(2) != 0,
-                   static_cast<int>(state.range(1)));
+  RunColumnarQuery(state, static_cast<int>(state.range(1)));
 }
 BENCHMARK(BM_ColumnarScanSweep)
-    ->ArgsProduct({{1000000}, {1, 2, 4, 8}, {0, 1}})
+    ->ArgsProduct({{1000000}, {1, 2, 4, 8}, {1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

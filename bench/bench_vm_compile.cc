@@ -2,15 +2,13 @@
 // predicates and per-row measure folds are compiled to compact programs
 // (src/vm) and evaluated by an interpreter loop that never touches the AST.
 //
-// Expected shape: on the cold path (result + program caches disabled, so
-// every iteration recompiles and re-evaluates) the VM-on rows beat the
-// AST-walking interpreter by >= 3x; on the warm path both variants serve the
-// result from the LRU and are indistinguishable. The `snapshot_crc` counter
-// is identical for every variant and thread count — compilation never
-// changes bytes, only cost. The sweep records vm on/off x cold/warm across
-// pool sizes {1, 2, 4, 8} in the JSON sidecar (DWRED_BENCH_SIDECAR,
-// bench_main.cc); tools/bench_diff.py pairs the cold rows and fails CI when
-// the VM regresses below the interpreter baseline.
+// The compiled path is the only production path, so the rows time it cold
+// (result + program caches disabled, so every iteration recompiles and
+// re-evaluates) and warm (the result served from the LRU) across pool sizes
+// {1, 2, 4, 8}. The `snapshot_crc` counter is identical for every row and
+// thread count, and tools/bench_diff.py checks it against the committed
+// baseline rows (bench/results/vm_compile_sweep.json), whose interpreted
+// (vm=0) rows record the historical comparison.
 
 #include "bench_common.h"
 
@@ -89,14 +87,8 @@ uint32_t SnapshotCrc(const MultidimensionalObject& mo) {
 
 // `cold` disables the PR-5 LRU entirely (results AND compiled programs), so
 // each iteration pays compile + full per-subcube evaluation; warm rows serve
-// the result from the cache and exist to show the VM leaves the warm path
-// untouched. `vm_on` flips the DWRED_VM_DISABLED kill switch.
-void RunVmQuery(benchmark::State& state, bool vm_on, bool cold, int threads) {
-  if (vm_on) {
-    ::unsetenv("DWRED_VM_DISABLED");
-  } else {
-    ::setenv("DWRED_VM_DISABLED", "1", 1);
-  }
+// the result from the cache.
+void RunVmQuery(benchmark::State& state, bool cold, int threads) {
   if (cold) {
     ::setenv("DWRED_CACHE_DISABLED", "1", 1);
   } else {
@@ -118,35 +110,26 @@ void RunVmQuery(benchmark::State& state, bool vm_on, bool cold, int threads) {
   }
   state.counters["snapshot_crc"] = static_cast<double>(crc);
   state.counters["threads"] = threads;
-  state.counters["vm"] = vm_on ? 1 : 0;
   state.counters["cold"] = cold ? 1 : 0;
   state.SetItemsProcessed(state.iterations());
   exec::ThreadPool::ResetGlobal(0);
-  ::unsetenv("DWRED_VM_DISABLED");
   ::unsetenv("DWRED_CACHE_DISABLED");
 }
 
-// The headline pair: serial cold path, VM on vs off. tools/bench_diff.py
-// matches these two rows (same threads, cold == 1) and fails when the
-// compiled row is slower than the interpreter row.
+// The headline row: serial cold path.
 void BM_VmQueryColdCompiled(benchmark::State& state) {
-  RunVmQuery(state, /*vm_on=*/true, /*cold=*/true, /*threads=*/1);
+  RunVmQuery(state, /*cold=*/true, /*threads=*/1);
 }
 BENCHMARK(BM_VmQueryColdCompiled)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-void BM_VmQueryColdInterpreted(benchmark::State& state) {
-  RunVmQuery(state, /*vm_on=*/false, /*cold=*/true, /*threads=*/1);
-}
-BENCHMARK(BM_VmQueryColdInterpreted)->Arg(10000)->Unit(benchmark::kMillisecond);
-
-// Thread sweep x vm on/off x cold/warm: sixteen rows in the sidecar, one
-// snapshot_crc.
+// Thread sweep x cold/warm: eight rows in the sidecar, one snapshot_crc.
+// Arguments are (facts per month, threads, 1, cold); the constant third
+// argument keeps the row names of the committed baseline's compiled rows.
 void BM_VmQuerySweep(benchmark::State& state) {
-  RunVmQuery(state, state.range(2) != 0, state.range(3) != 0,
-             static_cast<int>(state.range(1)));
+  RunVmQuery(state, state.range(3) != 0, static_cast<int>(state.range(1)));
 }
 BENCHMARK(BM_VmQuerySweep)
-    ->ArgsProduct({{10000}, {1, 2, 4, 8}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{10000}, {1, 2, 4, 8}, {1}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

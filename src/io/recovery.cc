@@ -11,7 +11,6 @@
 #include "reduce/dynamics.h"
 #include "runtime/cancel.h"
 #include "spec/parser.h"
-#include "storage/column.h"
 #include "testing/fault.h"
 
 namespace dwred {
@@ -208,28 +207,16 @@ std::string SaveDurableState(uint64_t applied_lsn,
       // byte-identical to the pre-segmentation flat layout (the manifest —
       // including per-segment column encodings — is a physical property and
       // is rebuilt canonically on load).
-      if (storage::ColumnarEnabled()) {
-        t.ForEachBatch(0, t.num_rows(), [&](const FactTable::BatchView& b) {
-          for (size_t i = 0; i < b.rows(); ++i) {
-            for (size_t d = 0; d < t.num_dims(); ++d) {
-              wire::PutU32(&s, b.dim_col(d)[i]);
-            }
-            for (size_t m = 0; m < t.num_measures(); ++m) {
-              wire::PutI64(&s, b.meas_col(m)[i]);
-            }
+      t.ForEachBatch(0, t.num_rows(), [&](const FactTable::BatchView& b) {
+        for (size_t i = 0; i < b.rows(); ++i) {
+          for (size_t d = 0; d < t.num_dims(); ++d) {
+            wire::PutU32(&s, b.dim_col(d)[i]);
           }
-        });
-      } else {
-        t.ForEachRow(0, t.num_rows(),
-                     [&](RowId, const FactTable::RowRef& row) {
-                       for (size_t d = 0; d < t.num_dims(); ++d) {
-                         wire::PutU32(&s, row.coord(d));
-                       }
-                       for (size_t m = 0; m < t.num_measures(); ++m) {
-                         wire::PutI64(&s, row.measure(m));
-                       }
-                     });
-      }
+          for (size_t m = 0; m < t.num_measures(); ++m) {
+            wire::PutI64(&s, b.meas_col(m)[i]);
+          }
+        }
+      });
     }
   }
   wire::PutU32(&s, Crc32(s));
@@ -579,33 +566,31 @@ Result<IntentRecord> DurableWarehouse::PlanOp(const JournalOp& op) const {
         return Status::InvalidArgument(
             "synchronize requires the subcube organization");
       }
+      // The same plan Synchronize applies, digested in (cube, row) order:
+      // every row whose responsible cube is not its own contributes its
+      // source cube, its target (deletions as ~0), and its direct cell.
+      DWRED_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> targets,
+                             subcubes_->PlanSynchronize(op.now_day));
       const size_t nd = mo_->num_dimensions();
-      std::vector<ValueId> cell(nd);
-      for (size_t ci = 0; ci < subcubes_->num_subcubes(); ++ci) {
+      for (size_t ci = 0; ci < targets.size(); ++ci) {
+        const std::vector<size_t>& target = targets[ci];
         const FactTable& t = subcubes_->subcube(ci).table;
-        Status scan_status = Status::OK();
-        t.ForEachRow(
-            0, t.num_rows(), [&](RowId, const FactTable::RowRef& row) {
-              if (!scan_status.ok()) return;
-              for (size_t d = 0; d < nd; ++d) cell[d] = row.coord(d);
-              auto target_r = subcubes_->ResponsibleCube(cell, op.now_day);
-              if (!target_r.ok()) {
-                scan_status = target_r.status();
-                return;
-              }
-              size_t target = target_r.value();
-              if (target == ci) return;
-              ++in.affected_count;
-              h.U32(static_cast<uint32_t>(ci));
-              h.U64(target == SubcubeManager::kDeletedCell
-                        ? ~uint64_t{0}
-                        : static_cast<uint64_t>(target));
-              for (size_t d = 0; d < nd; ++d) {
-                HashValue(&h, *mo_->dimension(static_cast<DimensionId>(d)),
-                          cell[d]);
+        t.ForEachDimBatch(
+            0, target.size(), [&](const FactTable::BatchView& b) {
+              for (size_t k = 0; k < b.rows(); ++k) {
+                const size_t to = target[b.first_row() + k];
+                if (to == ci) continue;
+                ++in.affected_count;
+                h.U32(static_cast<uint32_t>(ci));
+                h.U64(to == SubcubeManager::kDeletedCell
+                          ? ~uint64_t{0}
+                          : static_cast<uint64_t>(to));
+                for (size_t d = 0; d < nd; ++d) {
+                  HashValue(&h, *mo_->dimension(static_cast<DimensionId>(d)),
+                            b.dim_col(d)[k]);
+                }
               }
             });
-        DWRED_RETURN_IF_ERROR(scan_status);
       }
       break;
     }

@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "scan/scan.h"
-#include "storage/column.h"
 #include "storage/fact_table.h"
 
 namespace dwred {
@@ -132,21 +131,11 @@ Result<SelectionResult> Select(const MultidimensionalObject& mo,
   // ranges; the output MO is then built serially in fact order from the
   // precomputed weights, which keeps the result byte-identical at every
   // thread count (docs/PARALLELISM.md).
-  std::vector<double> weights(mo.num_facts());
-  if (compiled != nullptr) {
-    vm::CompiledScan cs(compiled, [&](const ValueId* c) {
-      return EvalQueryPredOnCoords(pred, mo.dimensions(), c, now_day, approach);
-    });
-    cs.WeighMo(mo, &weights);
-  } else {
-    scan::Execute(scan::PlanMoScan(mo.num_facts(), /*grain=*/512),
-                  [&](size_t, size_t begin, size_t end) {
-                    for (FactId f = begin; f < end; ++f) {
-                      weights[f] =
-                          EvalQueryPredOnFact(pred, mo, f, now_day, approach);
-                    }
-                  });
-  }
+  std::vector<double> weights;
+  vm::CompiledScan cs(compiled, [&](const ValueId* c) {
+    return EvalQueryPredOnCoords(pred, mo.dimensions(), c, now_day, approach);
+  });
+  cs.WeighMo(mo, &weights);
 
   size_t survivors = 0;
   for (double w : weights) survivors += w > 0.0 ? 1 : 0;
@@ -207,48 +196,31 @@ Result<SelectionResult> SelectFromScan(
   if (approach == SelectionApproach::kWeighted) out.weights.reserve(survivors);
   std::vector<ValueId> coords(ndims);
   std::vector<int64_t> meas(nmeas);
-  if (storage::ColumnarEnabled()) {
-    // Late materialization: chunks with no surviving weight are skipped
-    // before their columns are ever decoded.
-    for (const exec::Shard& u : plan.units) {
-      t.ForEachBatch(
-          u.begin, u.end,
-          [&](const FactTable::BatchView& b) {
-            const RowId first = b.first_row();
-            for (size_t i = 0; i < b.rows(); ++i) {
-              const double w = weights[first + i];
-              if (w <= 0.0) continue;
-              for (size_t d = 0; d < ndims; ++d) coords[d] = b.dim_col(d)[i];
-              for (size_t m = 0; m < nmeas; ++m) meas[m] = b.meas_col(m)[i];
-              // Table rows were validated on insert against these same
-              // dimensions, so the survivors append unchecked.
-              FactId nf = out.mo.AppendFactUnchecked(coords, meas);
-              // The names Select over MaterializeMO would have produced.
-              if (materialize_names) {
-                out.mo.SetFactName(nf, "fact_" + std::to_string(first + i));
-              }
-              if (approach == SelectionApproach::kWeighted) {
-                out.weights.push_back(w);
-              }
-            }
-          },
-          [&](RowId first, size_t n) { return NoSurvivors(weights, first, n); });
-    }
-    return out;
-  }
+  // Late materialization: chunks with no surviving weight are skipped before
+  // their columns are ever decoded.
   for (const exec::Shard& u : plan.units) {
-    t.ForEachRow(u.begin, u.end, [&](RowId r, const FactTable::RowRef& row) {
-      const double w = weights[r];
-      if (w <= 0.0) return;
-      for (size_t d = 0; d < ndims; ++d) coords[d] = row.coord(d);
-      for (size_t m = 0; m < nmeas; ++m) meas[m] = row.measure(m);
-      // Table rows were validated on insert against these same dimensions,
-      // so the survivors append unchecked.
-      FactId nf = out.mo.AppendFactUnchecked(coords, meas);
-      // The names Select over MaterializeMO would have produced.
-      if (materialize_names) out.mo.SetFactName(nf, "fact_" + std::to_string(r));
-      if (approach == SelectionApproach::kWeighted) out.weights.push_back(w);
-    });
+    t.ForEachBatch(
+        u.begin, u.end,
+        [&](const FactTable::BatchView& b) {
+          const RowId first = b.first_row();
+          for (size_t i = 0; i < b.rows(); ++i) {
+            const double w = weights[first + i];
+            if (w <= 0.0) continue;
+            for (size_t d = 0; d < ndims; ++d) coords[d] = b.dim_col(d)[i];
+            for (size_t m = 0; m < nmeas; ++m) meas[m] = b.meas_col(m)[i];
+            // Table rows were validated on insert against these same
+            // dimensions, so the survivors append unchecked.
+            FactId nf = out.mo.AppendFactUnchecked(coords, meas);
+            // The names Select over the full ToMO would have produced.
+            if (materialize_names) {
+              out.mo.SetFactName(nf, "fact_" + std::to_string(first + i));
+            }
+            if (approach == SelectionApproach::kWeighted) {
+              out.weights.push_back(w);
+            }
+          }
+        },
+        [&](RowId first, size_t n) { return NoSurvivors(weights, first, n); });
   }
   return out;
 }
@@ -414,29 +386,25 @@ Result<MultidimensionalObject> AggregateFormation(
     // The per-fact Leq + Rollup walks compiled to per-dimension lookup
     // tables (src/vm): the tables are filled by the same walks, so rolled
     // cells are identical — only the per-row cost changes. Oversized
-    // dimensions or a disabled VM fall back to walking every fact. A
-    // caller-supplied program (compiled once per query and cached per
-    // epoch+granularity) is valid whenever the effective categories are
-    // `target`; the LUB approach's may differ, so it compiles its own. Local
+    // dimensions fall back to walking every fact. A caller-supplied program
+    // (compiled once per query and cached per epoch+granularity) is valid
+    // whenever the effective categories are `target`; the LUB approach's
+    // may differ, so it compiles its own. Local
     // compilation enumerates every dimension value, so it only pays off when
     // the per-fact walks it replaces outnumber the table entries.
     const std::vector<CategoryId>& want_cats =
         approach == AggregationApproach::kLub ? lub : target;
     std::optional<vm::RollupProgram> local;
     const vm::RollupProgram* rollup = nullptr;
-    if (vm::Enabled()) {
-      if (rollup_in != nullptr && approach != AggregationApproach::kLub) {
-        rollup = rollup_in.get();
-      } else {
-        size_t extent_sum = 0;
-        for (const auto& d : mo.dimensions()) extent_sum += d->num_values();
-        if (mo.num_facts() * ndims >= extent_sum) {
-          local = vm::RollupProgram::Compile(mo.dimensions(), want_cats);
-          if (local.has_value()) rollup = &*local;
-        }
-      }
+    if (rollup_in != nullptr && approach != AggregationApproach::kLub) {
+      rollup = rollup_in.get();
     } else {
-      vm::CountFallback();
+      size_t extent_sum = 0;
+      for (const auto& d : mo.dimensions()) extent_sum += d->num_values();
+      if (mo.num_facts() * ndims >= extent_sum) {
+        local = vm::RollupProgram::Compile(mo.dimensions(), want_cats);
+        if (local.has_value()) rollup = &*local;
+      }
     }
     scan::Execute(
         scan::PlanMoScan(mo.num_facts(), /*grain=*/512),
@@ -622,11 +590,10 @@ Result<MultidimensionalObject> AggregateFromScan(
   span.AddField("facts_in", static_cast<int64_t>(facts_in));
 
   // Phase 1 — identical to SelectFromScan: shard-parallel weights indexed by
-  // logical row id (rows in pruned segments keep weight 0). The packed
-  // columnar fold below fuses this into its single pass instead (chunk
-  // weights never leave the batch), so the table fill is deferred until a
-  // two-phase path is actually taken.
-  std::vector<double> weights;
+  // logical row id (rows in pruned segments keep weight 0). The packed fold
+  // below fuses this into its single pass instead (chunk weights never leave
+  // the batch), so the table fill is deferred until the two-phase path is
+  // actually taken.
   vm::CompiledScan cs(compiled, [&](const ValueId* c) {
     return EvalQueryPredOnCoords(pred, dims, c, now_day, approach);
   });
@@ -637,16 +604,12 @@ Result<MultidimensionalObject> AggregateFromScan(
   const size_t ndims = dims.size();
   const size_t nmeas = measures.size();
   MultidimensionalObject out(fact_type, dims, measures);
-  struct Group {
-    FactId out_id;
-  };
-  std::unordered_map<std::vector<ValueId>, Group, CellKeyHash> groups;
   const vm::RollupProgram* rp = rollup.get();
   std::vector<ValueId> in(ndims);
   std::vector<ValueId> cell(ndims);
   std::vector<int64_t> meas(nmeas);
   // Rolls the already-gathered `in` row up into `cell` (tables, else the
-  // walk) — shared by every iteration shape below.
+  // walk) — shared by both fold shapes below.
   auto roll_cell = [&]() {
     if (rp != nullptr && rp->Map(in.data(), cell.data())) {
       for (size_t d = 0; d < ndims; ++d) {
@@ -668,144 +631,115 @@ Result<MultidimensionalObject> AggregateFromScan(
       }
     }
   };
-  // Folds the rolled `cell`/`meas` row into its group.
-  auto fold_row = [&]() {
-    roll_cell();
-    auto it = groups.find(cell);
-    if (it == groups.end()) {
-      // Rolled-up coordinates are interned values of these same
-      // dimensions, so the group cells append unchecked.
-      groups.emplace(cell, Group{out.AppendFactUnchecked(cell, meas)});
-    } else {
-      std::span<int64_t> acc = out.MutableFactMeasures(it->second.out_id);
-      for (size_t m = 0; m < nmeas; ++m) {
-        acc[m] = CombineMeasure(measures[m].agg, acc[m], meas[m]);
+  std::optional<std::vector<int>> shifts = PackedCellShifts(dims);
+  if (shifts && rp != nullptr) {
+    // Vectorized single-pass fold: the chunk is weighed in place (the
+    // weights never round-trip through the table-sized vector, and each
+    // column is decoded exactly once per query), then each dimension's
+    // rollup table — pre-combined with the availability fixup and
+    // pre-shifted into its packed cell-key bit field — turns key
+    // computation into one gather + OR per (row, dimension), and the group
+    // probe hashes one integer instead of a heap vector. Row order and
+    // per-row weights are unchanged, so output bytes are identical to the
+    // two-phase path below.
+    std::vector<std::vector<uint64_t>> packed_tab(ndims);
+    std::vector<std::vector<ValueId>> rolled_tab(ndims);
+    for (size_t d = 0; d < ndims; ++d) {
+      const size_t sz = rp->TableSize(d);
+      packed_tab[d].resize(sz);
+      rolled_tab[d].resize(sz);
+      for (ValueId v = 0; v < sz; ++v) {
+        const ValueId tv = rp->TableAt(d, v);
+        // availability: finest available level
+        const ValueId r = tv == vm::RollupProgram::kNotBelow ? v : tv;
+        rolled_tab[d][v] = r;
+        packed_tab[d][v] = static_cast<uint64_t>(r) << (*shifts)[d];
       }
     }
-  };
-  if (storage::ColumnarEnabled()) {
-    // Late materialization, as in SelectFromScan: survivor-free chunks are
-    // skipped before any column is decoded.
-    std::optional<std::vector<int>> shifts = PackedCellShifts(dims);
-    if (shifts && rp != nullptr) {
-      // Vectorized single-pass fold: the chunk is weighed in place
-      // (EvalBatch over the batch's columns — the weights never round-trip
-      // through the table-sized vector, and each column is decoded exactly
-      // once per query), then each dimension's rollup table — pre-combined
-      // with the availability fixup and pre-shifted into its packed
-      // cell-key bit field — turns key computation into one gather + OR per
-      // (row, dimension), and the group probe hashes one integer instead of
-      // a heap vector. Row order and per-row weights are unchanged, so
-      // output bytes are identical to the two-phase paths below.
-      std::vector<std::vector<uint64_t>> packed_tab(ndims);
-      std::vector<std::vector<ValueId>> rolled_tab(ndims);
-      for (size_t d = 0; d < ndims; ++d) {
-        const size_t sz = rp->TableSize(d);
-        packed_tab[d].resize(sz);
-        rolled_tab[d].resize(sz);
-        for (ValueId v = 0; v < sz; ++v) {
-          const ValueId tv = rp->TableAt(d, v);
-          // availability: finest available level
-          const ValueId r = tv == vm::RollupProgram::kNotBelow ? v : tv;
-          rolled_tab[d][v] = r;
-          packed_tab[d][v] = static_cast<uint64_t>(r) << (*shifts)[d];
-        }
-      }
-      PackedGroupIndex packed;
-      std::vector<uint64_t> keys(FactTable::kBatchRows);
-      std::vector<uint8_t> slow(FactTable::kBatchRows);
-      std::vector<double> wbuf(FactTable::kBatchRows);
-      vm::PredProgram::BatchScratch scratch;
-      for (const exec::Shard& u : plan.units) {
-        t.ForEachBatch(
-            u.begin, u.end,
-            [&](const FactTable::BatchView& b) {
-              const size_t n = b.rows();
-              cs.WeighBatch(b, wbuf.data(), &scratch);
-              std::fill_n(keys.begin(), n, uint64_t{0});
-              std::fill_n(slow.begin(), n, uint8_t{0});
-              for (size_t d = 0; d < ndims; ++d) {
-                const ValueId* c = b.dim_col(d);
-                const uint64_t* pt = packed_tab[d].data();
-                const size_t sz = packed_tab[d].size();
-                for (size_t i = 0; i < n; ++i) {
-                  if (c[i] < sz) {
-                    keys[i] |= pt[c[i]];
-                  } else {
-                    slow[i] = 1;  // interned after compilation: walk the row
-                  }
-                }
-              }
-              for (size_t i = 0; i < n; ++i) {
-                if (wbuf[i] <= 0.0) continue;
-                uint64_t key = keys[i];
-                if (slow[i]) {
-                  vm::CountFallback();
-                  for (size_t d = 0; d < ndims; ++d) in[d] = b.dim_col(d)[i];
-                  for (size_t d = 0; d < ndims; ++d) {
-                    const Dimension& dim = *dims[d];
-                    CategoryId cf = dim.value_category(in[d]);
-                    if (dim.type().Leq(cf, target[d])) {
-                      cell[d] = dim.Rollup(in[d], target[d]);
-                      DWRED_CHECK(cell[d] != kInvalidValue);
-                    } else {
-                      cell[d] = in[d];  // availability: finest available
-                    }
-                  }
-                  key = 0;
-                  for (size_t d = 0; d < ndims; ++d) {
-                    key |= static_cast<uint64_t>(cell[d]) << (*shifts)[d];
-                  }
-                }
-                uint32_t& slot = packed.Slot(key);
-                if (slot == PackedGroupIndex::kEmpty) {
-                  if (!slow[i]) {
-                    for (size_t d = 0; d < ndims; ++d) {
-                      cell[d] = rolled_tab[d][b.dim_col(d)[i]];
-                    }
-                  }
-                  for (size_t m = 0; m < nmeas; ++m) {
-                    meas[m] = b.meas_col(m)[i];
-                  }
-                  slot = static_cast<uint32_t>(
-                      out.AppendFactUnchecked(cell, meas));
-                } else {
-                  std::span<int64_t> acc = out.MutableFactMeasures(slot);
-                  for (size_t m = 0; m < nmeas; ++m) {
-                    acc[m] = CombineMeasure(measures[m].agg, acc[m],
-                                            b.meas_col(m)[i]);
-                  }
-                }
-              }
-            });
-      }
-      return out;
-    }
-    cs.WeighTable(t, plan, &weights);
+    PackedGroupIndex packed;
+    std::vector<uint64_t> keys(FactTable::kBatchRows);
+    std::vector<uint8_t> slow(FactTable::kBatchRows);
+    std::vector<double> wbuf(FactTable::kBatchRows);
+    vm::PredProgram::BatchScratch scratch;
     for (const exec::Shard& u : plan.units) {
-      t.ForEachBatch(
-          u.begin, u.end,
-          [&](const FactTable::BatchView& b) {
-            const RowId first = b.first_row();
-            for (size_t i = 0; i < b.rows(); ++i) {
-              if (weights[first + i] <= 0.0) continue;
-              for (size_t d = 0; d < ndims; ++d) in[d] = b.dim_col(d)[i];
-              for (size_t m = 0; m < nmeas; ++m) meas[m] = b.meas_col(m)[i];
-              fold_row();
+      t.ForEachBatch(u.begin, u.end, [&](const FactTable::BatchView& b) {
+        const size_t n = b.rows();
+        cs.WeighBatch(b, wbuf.data(), &scratch);
+        std::fill_n(keys.begin(), n, uint64_t{0});
+        std::fill_n(slow.begin(), n, uint8_t{0});
+        for (size_t d = 0; d < ndims; ++d) {
+          const ValueId* c = b.dim_col(d);
+          const uint64_t* pt = packed_tab[d].data();
+          const size_t sz = packed_tab[d].size();
+          for (size_t i = 0; i < n; ++i) {
+            if (c[i] < sz) {
+              keys[i] |= pt[c[i]];
+            } else {
+              slow[i] = 1;  // interned after compilation: walk the row
             }
-          },
-          [&](RowId first, size_t n) { return NoSurvivors(weights, first, n); });
+          }
+        }
+        for (size_t i = 0; i < n; ++i) {
+          if (wbuf[i] <= 0.0) continue;
+          uint64_t key = keys[i];
+          if (slow[i]) {
+            for (size_t d = 0; d < ndims; ++d) in[d] = b.dim_col(d)[i];
+            roll_cell();
+            key = 0;
+            for (size_t d = 0; d < ndims; ++d) {
+              key |= static_cast<uint64_t>(cell[d]) << (*shifts)[d];
+            }
+          }
+          uint32_t& slot = packed.Slot(key);
+          if (slot == PackedGroupIndex::kEmpty) {
+            if (!slow[i]) {
+              for (size_t d = 0; d < ndims; ++d) {
+                cell[d] = rolled_tab[d][b.dim_col(d)[i]];
+              }
+            }
+            for (size_t m = 0; m < nmeas; ++m) meas[m] = b.meas_col(m)[i];
+            slot = static_cast<uint32_t>(out.AppendFactUnchecked(cell, meas));
+          } else {
+            std::span<int64_t> acc = out.MutableFactMeasures(slot);
+            for (size_t m = 0; m < nmeas; ++m) {
+              acc[m] = CombineMeasure(measures[m].agg, acc[m], b.meas_col(m)[i]);
+            }
+          }
+        }
+      });
     }
     return out;
   }
+  // Two-phase fold (no rollup tables, or cell keys too wide to pack): late
+  // materialization as in SelectFromScan — survivor-free chunks are skipped
+  // before any column is decoded — then a vector-keyed group map.
+  std::vector<double> weights;
   cs.WeighTable(t, plan, &weights);
+  std::unordered_map<std::vector<ValueId>, FactId, CellKeyHash> groups;
   for (const exec::Shard& u : plan.units) {
-    t.ForEachRow(u.begin, u.end, [&](RowId r, const FactTable::RowRef& row) {
-      if (weights[r] <= 0.0) return;
-      for (size_t d = 0; d < ndims; ++d) in[d] = row.coord(d);
-      for (size_t m = 0; m < nmeas; ++m) meas[m] = row.measure(m);
-      fold_row();
-    });
+    t.ForEachBatch(
+        u.begin, u.end,
+        [&](const FactTable::BatchView& b) {
+          const RowId first = b.first_row();
+          for (size_t i = 0; i < b.rows(); ++i) {
+            if (weights[first + i] <= 0.0) continue;
+            for (size_t d = 0; d < ndims; ++d) in[d] = b.dim_col(d)[i];
+            for (size_t m = 0; m < nmeas; ++m) meas[m] = b.meas_col(m)[i];
+            roll_cell();
+            auto it = groups.find(cell);
+            if (it == groups.end()) {
+              // Rolled-up coordinates are interned values of these same
+              // dimensions, so the group cells append unchecked.
+              groups.emplace(cell, out.AppendFactUnchecked(cell, meas));
+            } else {
+              std::span<int64_t> acc = out.MutableFactMeasures(it->second);
+              for (size_t m = 0; m < nmeas; ++m) {
+                acc[m] = CombineMeasure(measures[m].agg, acc[m], meas[m]);
+              }
+            }
+          }
+        },
+        [&](RowId first, size_t n) { return NoSurvivors(weights, first, n); });
   }
   return out;
 }

@@ -34,14 +34,14 @@ Result<SelectionResult> Select(const MultidimensionalObject& mo,
                                    compiled = nullptr);
 
 /// The fused scan-and-select of the pruned query path: evaluates σ[pred]
-/// directly over the plan's rows of a fact table, skipping the intermediate
-/// MaterializeMO copy. Byte-identical to
-/// Select(MaterializeMO(t, plan, ...), pred, ...): facts are emitted in
-/// ascending logical row order under their table-scan names
-/// ("fact_<logical row>"), so output does not depend on pruning or thread
-/// count. `compiled` as in Select.
+/// directly over the plan's rows of a fact table, with no intermediate MO.
+/// Byte-identical to Select(t.ToMO(...), pred, ...) whenever the plan was
+/// built from a sound ScanSpec of `pred`: facts are emitted in ascending
+/// logical row order under their table-scan names ("fact_<logical row>"),
+/// so output does not depend on pruning or thread count. `compiled` as in
+/// Select; when null every row is weighed by the tree interpreter.
 /// `materialize_names` (default true) stores the "fact_<row>" display names
-/// Select over MaterializeMO would have produced. Callers that immediately
+/// Select over the full ToMO would have produced. Callers that immediately
 /// aggregate the selection — which rebuilds facts and discards names — pass
 /// false to skip the per-survivor string materialization; result *query*
 /// bytes are unchanged because the intermediate MO never escapes.
@@ -103,7 +103,8 @@ Result<MultidimensionalObject> AggregateFormation(
 /// because rows are visited in the same ascending logical order, so group
 /// discovery order and measure fold order are unchanged
 /// (docs/COMPILATION.md). Availability approach only — the only one the
-/// subcube query path combines with. `rollup` may be null (per-row walks).
+/// subcube query path combines with. `compiled` may be null (per-row tree
+/// interpretation) and so may `rollup` (per-row walks).
 Result<MultidimensionalObject> AggregateFromScan(
     const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "runtime/cancel.h"
 #include "scan/scan.h"
-#include "storage/column.h"
 #include "storage/fact_table.h"
 #include "vm/program.h"
 
@@ -93,16 +92,12 @@ Result<std::vector<CategoryId>> MaxSpecGranImpl(
   return best;
 }
 
-/// One compiled program per action, or an empty vector while the VM is
-/// disabled (null slots for predicates the compiler rejects).
+/// One compiled program per action (null slots for predicates the compiler
+/// rejects).
 ActionPrograms CompileActionPrograms(const MultidimensionalObject& mo,
                                      const ReductionSpecification& spec,
                                      int64_t now_day) {
   ActionPrograms progs;
-  if (!vm::Enabled()) {
-    vm::CountFallback();
-    return progs;
-  }
   progs.reserve(spec.size());
   const scan::AtomOracle oracle = vm::SpecAtomOracle(mo, now_day);
   for (size_t i = 0; i < spec.size(); ++i) {
@@ -215,8 +210,7 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
 
   // The per-action predicate programs and the measure fold, compiled once
   // for the whole pass (src/vm) and shared read-only by every shard.
-  const ActionPrograms action_progs = CompileActionPrograms(mo, spec, now_day);
-  const ActionPrograms* progs = action_progs.empty() ? nullptr : &action_progs;
+  const ActionPrograms progs = CompileActionPrograms(mo, spec, now_day);
   const vm::FoldProgram fold = vm::FoldProgram::Compile(mo.measure_types());
 
   scan::ScanPlan plan = scan::PlanMoScan(mo.num_facts(), /*grain=*/1024);
@@ -241,7 +235,7 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
       ActionId responsible = kNoAction;
       bool deleted = false;
       auto gran_r = MaxSpecGranImpl(mo, spec, f, now_day, &responsible,
-                                    &deleted, progs, action_w);
+                                    &deleted, &progs, action_w);
       if (!gran_r.ok()) {
         acc.error = gran_r.status();
         return false;
@@ -306,38 +300,32 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
       }
       return true;
     };
-    if (storage::ColumnarEnabled() && progs != nullptr && ndims > 0) {
-      // Vectorized assignment: transpose row-major MO chunks into column
-      // scratch, evaluate every compiled action predicate chunk-at-a-time,
-      // then hand each fact its precomputed lane weights. Byte-identical to
-      // the per-fact path (vm::PredProgram::EvalBatch contract).
-      constexpr size_t kChunk = FactTable::kBatchRows;
-      const size_t nact = progs->size();
-      vm::PredProgram::BatchScratch scratch;
-      std::vector<ValueId> cols(ndims * kChunk);
-      std::vector<const ValueId*> colp(ndims);
-      for (size_t d = 0; d < ndims; ++d) colp[d] = cols.data() + d * kChunk;
-      std::vector<double> lanes(nact * kChunk);
-      std::vector<double> row_w(nact);
-      for (FactId f0 = begin; f0 < end; f0 += kChunk) {
-        const size_t n = std::min<size_t>(kChunk, end - f0);
-        for (size_t i = 0; i < n; ++i) {
-          const ValueId* row = mo.FactCoords(f0 + i).data();
-          for (size_t d = 0; d < ndims; ++d) cols[d * kChunk + i] = row[d];
-        }
-        for (size_t a = 0; a < nact; ++a) {
-          if (const vm::PredProgram* p = (*progs)[a].get()) {
-            p->EvalBatch(colp.data(), n, lanes.data() + a * kChunk, &scratch);
-          }
-        }
-        for (size_t i = 0; i < n; ++i) {
-          for (size_t a = 0; a < nact; ++a) row_w[a] = lanes[a * kChunk + i];
-          if (!process(f0 + i, row_w.data())) return;
+    // Vectorized assignment: transpose row-major MO chunks into column
+    // scratch, evaluate every compiled action predicate chunk-at-a-time, then
+    // hand each fact its precomputed lane weights (vm::PredProgram::EvalBatch
+    // contract: bitwise the per-fact program result).
+    constexpr size_t kChunk = FactTable::kBatchRows;
+    const size_t nact = progs.size();
+    vm::PredProgram::BatchScratch scratch;
+    std::vector<ValueId> cols(ndims * kChunk);
+    std::vector<const ValueId*> colp(ndims);
+    for (size_t d = 0; d < ndims; ++d) colp[d] = cols.data() + d * kChunk;
+    std::vector<double> lanes(nact * kChunk);
+    std::vector<double> row_w(nact);
+    for (FactId f0 = begin; f0 < end; f0 += kChunk) {
+      const size_t n = std::min<size_t>(kChunk, end - f0);
+      for (size_t i = 0; i < n; ++i) {
+        const ValueId* row = mo.FactCoords(f0 + i).data();
+        for (size_t d = 0; d < ndims; ++d) cols[d * kChunk + i] = row[d];
+      }
+      for (size_t a = 0; a < nact; ++a) {
+        if (const vm::PredProgram* p = progs[a].get()) {
+          p->EvalBatch(colp.data(), n, lanes.data() + a * kChunk, &scratch);
         }
       }
-    } else {
-      for (FactId f = begin; f < end; ++f) {
-        if (!process(f, nullptr)) return;
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t a = 0; a < nact; ++a) row_w[a] = lanes[a * kChunk + i];
+        if (!process(f0 + i, row_w.data())) return;
       }
     }
   });

@@ -115,13 +115,4 @@ void Execute(const ScanPlan& plan, Fn&& fn) {
   exec::ThreadPool::Global().ParallelForShards(plan.units, std::forward<Fn>(fn));
 }
 
-/// Materializes the plan's rows of `t` as an MO in ascending logical order.
-/// Facts keep their table-scan names ("fact_<logical row>"), so downstream
-/// operators produce byte-identical output whether or not segments were
-/// pruned (the pruned rows are exactly rows no conjunct can match).
-MultidimensionalObject MaterializeMO(
-    const FactTable& t, const ScanPlan& plan, const std::string& fact_type,
-    const std::vector<std::shared_ptr<Dimension>>& dims,
-    const std::vector<MeasureType>& measures);
-
 }  // namespace dwred::scan

@@ -1,7 +1,5 @@
 #include "storage/column.h"
 
-#include <cstdlib>
-
 namespace dwred::storage {
 
 const char* EncodingName(ColEncoding e) {
@@ -16,11 +14,6 @@ const char* EncodingName(ColEncoding e) {
       return "for";
   }
   return "?";
-}
-
-bool ColumnarEnabled() {
-  const char* v = std::getenv("DWRED_COLUMNAR_DISABLED");
-  return v == nullptr || v[0] == '\0';
 }
 
 }  // namespace dwred::storage

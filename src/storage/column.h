@@ -24,10 +24,9 @@
 // values bit-for-bit in the original order, so logical row order, ToMO /
 // snapshot / digest bytes, and every query result are byte-identical whether
 // or not a segment is encoded — the same "layout is not serialized" contract
-// as the PR-4 segment manifest. The DWRED_COLUMNAR_DISABLED kill switch
-// (ColumnarEnabled(), re-read on every decision point like DWRED_VM_DISABLED)
-// stops *future* sealing from encoding and sends scan consumers down the
-// row-at-a-time path; already-encoded segments stay readable either way.
+// as the PR-4 segment manifest. Every sealed segment goes through Encode,
+// which keeps plain when plain is cheapest; only the mutable tail stays
+// row-appendable.
 
 #include <algorithm>
 #include <cstdint>
@@ -45,12 +44,6 @@ enum class ColEncoding : uint8_t { kPlain, kDict, kRle, kFor };
 
 /// "plain" / "dict" / "rle" / "for" — dwredctl storage and tests.
 const char* EncodingName(ColEncoding e);
-
-/// True unless the DWRED_COLUMNAR_DISABLED environment variable is set to a
-/// non-empty value. Re-read on every call (the DWRED_VM_DISABLED
-/// convention); disabling changes cost and physical layout of future seals,
-/// never result bytes.
-bool ColumnarEnabled();
 
 /// One immutable encoded column of a sealed segment. T is ValueId for
 /// dimension columns and int64_t for measure columns.

@@ -248,9 +248,8 @@ void FactTable::DecodeSegment(Segment& s) const {
 
 void FactTable::SealSegment(Segment& s) {
   s.sealed = true;
-  // The seal is the encoding decision point: the kill switch is re-read
-  // here, so flipping DWRED_COLUMNAR_DISABLED affects future seals only.
-  if (!storage::ColumnarEnabled()) return;
+  // The seal is the encoding decision point; EncodeSegment keeps plain
+  // columns wherever plain is cheapest.
   const size_t before = SegmentDataBytesOf(s);
   EncodeSegment(s);
   const size_t after = SegmentDataBytesOf(s);
@@ -413,7 +412,6 @@ void FactTable::RecomputeZones(Segment& s) const {
 
 void FactTable::CompactSegment(Segment& s) const {
   if (s.dead.empty()) return;
-  const bool was_encoded = s.encoded;
   DecodeSegment(s);
   size_t w = 0;
   for (size_t p = 0; p < s.phys; ++p) {
@@ -437,11 +435,9 @@ void FactTable::CompactSegment(Segment& s) const {
   s.dead_count = 0;
   s.phys = w;
   DWRED_CHECK(s.live == w);
-  // A compacted sealed segment re-enters the encoding decision (kill switch
-  // re-read, like the seal itself).
-  if (was_encoded || (s.sealed && storage::ColumnarEnabled())) {
-    EncodeSegment(s);
-  }
+  // A compacted sealed segment re-enters the encoding decision, like the
+  // seal itself.
+  if (s.sealed) EncodeSegment(s);
 }
 
 void FactTable::RecomputeIndex() {

@@ -12,16 +12,15 @@
 // touches the columns, and uses segments as the natural parallel shard unit.
 //
 // Sealing is also the compression point (docs/STORAGE.md "Columnar layout"):
-// when the columnar path is enabled (storage::ColumnarEnabled, kill switch
-// DWRED_COLUMNAR_DISABLED), a segment's columns are re-encoded at seal time —
-// per column, the cheapest of plain / dictionary / run-length by byte count
-// (storage/column.h) — and consumers iterate chunk-at-a-time through
+// every segment's columns are re-encoded at seal time — per column, the
+// cheapest of plain / dictionary / run-length / frame-of-reference by byte
+// count (storage/column.h) — and consumers iterate chunk-at-a-time through
 // ForEachBatch, which exposes each column of up to kBatchRows rows as a flat
 // pointer (zero-copy for plain columns, decoded into scratch otherwise).
 // The encoding is physical only: logical row order, ToMO / snapshot / digest
-// bytes, and every query result are byte-identical with the layout on or
-// off, at any thread count — the segment layout is deliberately never
-// serialized, exactly like the segment manifest.
+// bytes, and every query result are independent of it, at any thread count —
+// the segment layout is deliberately never serialized, exactly like the
+// segment manifest.
 //
 // Rows are addressed by *logical* RowId: the position among live rows in
 // insertion order. Segmentation and tombstones are purely physical — they

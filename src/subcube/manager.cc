@@ -15,7 +15,6 @@
 #include "runtime/governor.h"
 #include "scan/scan.h"
 #include "spec/predicate_analysis.h"
-#include "storage/column.h"
 #include "vm/program.h"
 
 namespace dwred {
@@ -198,10 +197,6 @@ Result<size_t> SubcubeManager::ResponsibleCube(std::span<const ValueId> cell,
 SubcubeManager::SpecPrograms SubcubeManager::CompileSpecPrograms(
     int64_t now_day) const {
   SpecPrograms progs;
-  if (!vm::Enabled()) {
-    vm::CountFallback();
-    return progs;
-  }
   progs.reserve(spec_.size());
   const scan::AtomOracle oracle = vm::SpecAtomOracle(ctx_, now_day);
   for (ActionId a = 0; a < spec_.size(); ++a) {
@@ -341,6 +336,109 @@ Status SubcubeManager::RestoreRow(size_t cube, std::span<const ValueId> cell,
   return Status::OK();
 }
 
+Result<std::vector<std::vector<size_t>>> SubcubeManager::PlanSynchronize(
+    int64_t now_day) const {
+  std::shared_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
+  auto plans = PlanSynchronizeLocked(now_day, /*roll=*/false, nullptr);
+  if (!plans.ok()) return runtime::CountAbort(plans.status());
+  std::vector<std::vector<size_t>> targets;
+  targets.reserve(plans.value().size());
+  for (CubeSyncPlan& plan : plans.value()) {
+    targets.push_back(std::move(plan.target));
+  }
+  return targets;
+}
+
+Result<std::vector<SubcubeManager::CubeSyncPlan>>
+SubcubeManager::PlanSynchronizeLocked(int64_t now_day, bool roll,
+                                      obs::OpProfile* profile) const {
+  // Per-action predicate programs (src/vm), compiled once for the whole
+  // pass and shared read-only by every plan shard; null slots interpret.
+  const SpecPrograms progs = CompileSpecPrograms(now_day);
+  if (profile != nullptr) profile->compiled = !progs.empty();
+  const size_t ndims = dims_.size();
+  const size_t nact = progs.size();
+  constexpr size_t kLanes = FactTable::kBatchRows;
+
+  // --- Parallel plan (docs/PARALLELISM.md) --------------------------------
+  // A row's destination depends only on its cell, the specification and
+  // now_day — never on other rows or on table contents — so the per-row
+  // migration decisions (ResponsibleCube + RollCell) fan out over each
+  // cube's storage segments (the natural shard unit, docs/STORAGE.md),
+  // read-only. Synchronization must examine *every* row, so the scan plan is
+  // unpruned. Every compiled action predicate runs chunk-at-a-time over the
+  // segment columns; the per-row LUB walk then consumes the precomputed
+  // lanes. The result is identical at every thread count.
+  std::vector<CubeSyncPlan> plans(cubes_.size());
+  for (size_t i = 0; i < cubes_.size(); ++i) {
+    CubeSyncPlan& plan = plans[i];
+    const Subcube& cube = *cubes_[i];
+    const size_t rows = cube.table.num_rows();
+    plan.target.resize(rows);
+    if (roll) plan.rolled.resize(rows * ndims);
+    scan::ScanPlan splan =
+        scan::PlanTableScan(cube.table, scan::ScanSpec::All());
+    // First error per shard (the shard stops there).
+    std::vector<Status> shard_error(splan.units.size(), Status::OK());
+    scan::Execute(splan, [&](size_t si, size_t begin, size_t end) {
+      // Cooperative abort point, polled per shard while the pass is still
+      // read-only: cancelling any plan shard abandons the whole pass with
+      // nothing mutated.
+      Status& err = shard_error[si];
+      err = runtime::PollCancel("cancel.sync.plan");
+      if (!err.ok()) return;
+      vm::PredProgram::BatchScratch scratch;
+      std::vector<double> lanes(nact * kLanes);
+      std::vector<double> row_w(nact);
+      std::vector<ValueId> row_cell(ndims);
+      cube.table.ForEachDimBatch(
+          begin, end, [&](const FactTable::BatchView& b) {
+            if (!err.ok()) return;
+            const size_t n = b.rows();
+            for (ActionId a = 0; a < nact; ++a) {
+              if (const vm::PredProgram* prog = progs[a].get()) {
+                prog->EvalBatch(b.dim_cols(), n, lanes.data() + a * kLanes,
+                                &scratch);
+              }
+            }
+            for (size_t k = 0; k < n; ++k) {
+              for (size_t d = 0; d < ndims; ++d) row_cell[d] = b.dim_col(d)[k];
+              for (ActionId a = 0; a < nact; ++a) {
+                row_w[a] = lanes[a * kLanes + k];
+              }
+              const RowId r = b.first_row() + k;
+              auto target_r =
+                  ResponsibleCubeWith(row_cell, now_day, &progs, row_w.data());
+              if (!target_r.ok()) {
+                err = target_r.status();
+                return;
+              }
+              const size_t target = target_r.value();
+              plan.target[r] = target;
+              if (!roll || target == i || target == kDeletedCell) continue;
+              auto rolled_r = RollCell(row_cell, cubes_[target]->granularity);
+              if (!rolled_r.ok()) {
+                err = rolled_r.status();
+                return;
+              }
+              std::copy(rolled_r.value().begin(), rolled_r.value().end(),
+                        plan.rolled.begin() + r * ndims);
+            }
+          });
+    });
+    // Lowest shard's error is the globally first failing row's error.
+    for (const Status& s : shard_error) {
+      if (!s.ok()) return s;
+    }
+    if (profile != nullptr) {
+      profile->rows_scanned += static_cast<int64_t>(rows);
+      profile->segments_total += static_cast<int64_t>(splan.segments_total);
+      profile->segments_scanned += static_cast<int64_t>(splan.segments_total);
+    }
+  }
+  return plans;
+}
+
 Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
                                            obs::OpProfile* profile) {
   auto& registry = obs::MetricsRegistry::Global();
@@ -380,16 +478,22 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   EpochBumpGuard bump(*cache_);
   if (prof != nullptr) prof->epoch = cache_->epoch();
 
+  // Synchronization examines every row, so the whole pass is charged against
+  // the operation's row budget once, up front: an over-budget pass never
+  // plans.
+  int64_t pass_rows = 0;
+  for (const auto& c : cubes_) {
+    pass_rows += static_cast<int64_t>(c->table.num_rows());
+  }
+  DWRED_RETURN_IF_ERROR(
+      abort_sync(runtime::CurrentOpContext().ChargeRows(pass_rows)));
+  auto plans_r = PlanSynchronizeLocked(now_day, /*roll=*/true, prof);
+  if (!plans_r.ok()) return abort_sync(plans_r.status());
+  const std::vector<CubeSyncPlan> plans = plans_r.take();
+  if (prof != nullptr) prof->AddStage("plan", stage_timer.LapMicros());
+
   std::vector<AggFn> aggs;
   for (const auto& m : measures_) aggs.push_back(m.agg);
-
-  // Per-action predicate programs (src/vm), compiled once for the whole
-  // pass and shared read-only by every plan shard; empty while the VM is
-  // disabled (per-row interpretation, byte-identical).
-  const SpecPrograms spec_progs = CompileSpecPrograms(now_day);
-  const SpecPrograms* progs = spec_progs.empty() ? nullptr : &spec_progs;
-  if (prof != nullptr) prof->compiled = progs != nullptr;
-
   size_t migrated = 0;
   size_t deleted = 0;
   size_t compacted = 0;
@@ -398,131 +502,22 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   std::vector<ValueId> cell(ndims);
   std::vector<int64_t> meas(nmeas);
 
-  // Snapshot row counts: rows appended during this pass already sit in their
-  // responsible cube and need no re-examination.
-  std::vector<size_t> snapshot;
-  for (const auto& c : cubes_) snapshot.push_back(c->table.num_rows());
-
-  // --- Parallel plan, serial apply (docs/PARALLELISM.md) ------------------
-  // A row's destination depends only on its cell, the specification and
-  // now_day — never on other rows or on table contents — so the per-row
-  // migration decisions (ResponsibleCube + RollCell) fan out over each
-  // cube's storage segments (the natural shard unit, docs/STORAGE.md),
-  // read-only. Synchronization must examine *every* row, so the scan plan is
-  // unpruned. The mutations (appends, erases, counters) then replay serially
-  // in the original (cube, row) order, so the resulting tables — and the WAL
-  // intent stream recorded around this pass — are byte-identical at every
-  // thread count.
-  struct CubePlan {
-    std::vector<size_t> target;   // per row < snapshot[i]; == i means stay
-    std::vector<ValueId> rolled;  // row-major cells, valid when migrating
-    std::vector<Status> shard_error;  // first error per shard (shard stops)
-  };
-  std::vector<CubePlan> plans(cubes_.size());
-  for (size_t i = 0; i < cubes_.size(); ++i) {
-    CubePlan& plan = plans[i];
-    plan.target.resize(snapshot[i]);
-    plan.rolled.resize(snapshot[i] * ndims);
-    const Subcube& cube = *cubes_[i];
-    scan::ScanPlan splan = scan::PlanTableScan(cube.table, scan::ScanSpec::All());
-    plan.shard_error.assign(splan.units.size(), Status::OK());
-    scan::Execute(splan, [&](size_t si, size_t begin, size_t end) {
-      // Cooperative abort point, polled per shard while the pass is still
-      // read-only (before bump.Arm() below): cancelling any plan shard
-      // abandons the whole pass with nothing mutated.
-      plan.shard_error[si] = runtime::PollCancel("cancel.sync.plan");
-      if (!plan.shard_error[si].ok()) return;
-      std::vector<ValueId> row_cell(ndims);
-      bool failed = false;
-      // Decides one row given its gathered cell and (optionally) its
-      // batch-precomputed per-action weights.
-      auto decide = [&](RowId r, const double* action_w) {
-        auto target_r = ResponsibleCubeWith(row_cell, now_day, progs, action_w);
-        if (!target_r.ok()) {
-          plan.shard_error[si] = target_r.status();
-          failed = true;
-          return;
-        }
-        size_t target = target_r.value();
-        plan.target[r] = target;
-        if (target == i || target == kDeletedCell) return;
-        auto rolled_r = RollCell(row_cell, cubes_[target]->granularity);
-        if (!rolled_r.ok()) {
-          plan.shard_error[si] = rolled_r.status();
-          failed = true;
-          return;
-        }
-        std::copy(rolled_r.value().begin(), rolled_r.value().end(),
-                  plan.rolled.begin() + r * ndims);
-      };
-      const size_t nact = progs != nullptr ? progs->size() : 0;
-      if (storage::ColumnarEnabled() && nact > 0) {
-        // Vectorized migration planning: every compiled action predicate
-        // runs chunk-at-a-time over the segment columns; the per-row LUB
-        // walk then consumes the precomputed lanes.
-        vm::PredProgram::BatchScratch scratch;
-        std::vector<double> lanes(nact * FactTable::kBatchRows);
-        std::vector<double> row_w(nact);
-        cube.table.ForEachDimBatch(
-            begin, end, [&](const FactTable::BatchView& b) {
-              if (failed) return;
-              const size_t n = b.rows();
-              for (ActionId a = 0; a < nact; ++a) {
-                if (const vm::PredProgram* prog = (*progs)[a].get()) {
-                  prog->EvalBatch(b.dim_cols(), n,
-                                  lanes.data() + a * FactTable::kBatchRows,
-                                  &scratch);
-                }
-              }
-              const RowId first = b.first_row();
-              for (size_t k = 0; k < n; ++k) {
-                if (failed) return;
-                for (size_t d = 0; d < ndims; ++d) {
-                  row_cell[d] = b.dim_col(d)[k];
-                }
-                for (ActionId a = 0; a < nact; ++a) {
-                  row_w[a] = lanes[a * FactTable::kBatchRows + k];
-                }
-                decide(first + k, row_w.data());
-              }
-            });
-      } else {
-        cube.table.ForEachRow(
-            begin, end, [&](RowId r, const FactTable::RowRef& row) {
-              if (failed) return;
-              for (size_t d = 0; d < ndims; ++d) row_cell[d] = row.coord(d);
-              decide(r, nullptr);
-            });
-      }
-    });
-    // Lowest shard's error is the globally first failing row's error. Unlike
-    // the serial formulation, a failed pass mutates nothing.
-    for (const Status& s : plan.shard_error) {
-      if (!s.ok()) return abort_sync(s);
-    }
-    DWRED_RETURN_IF_ERROR(abort_sync(
-        runtime::CurrentOpContext().ChargeRows(
-            static_cast<int64_t>(snapshot[i]))));
-    if (prof != nullptr) {
-      prof->rows_scanned += static_cast<int64_t>(snapshot[i]);
-      prof->segments_total += static_cast<int64_t>(splan.segments_total);
-      prof->segments_scanned += static_cast<int64_t>(splan.segments_total);
-    }
-  }
-  if (prof != nullptr) prof->AddStage("plan", stage_timer.LapMicros());
-
-  // The apply phase mutates tables; from here on the caches must be dropped
-  // even if a later step fails.
+  // Serial apply (docs/PARALLELISM.md): the mutations (appends, erases,
+  // counters) replay in (cube, row) order, so the resulting tables — and the
+  // journal intent digested from the same plan — are byte-identical at every
+  // thread count. From here on the caches must be dropped even if a later
+  // step fails.
   bump.Arm();
   std::vector<bool> received(cubes_.size(), false);
   for (size_t i = 0; i < cubes_.size(); ++i) {
     Subcube& cube = *cubes_[i];
-    const CubePlan& plan = plans[i];
+    const CubeSyncPlan& plan = plans[i];
     std::vector<bool> erase(cube.table.num_rows(), false);
     // Cursor scan over the pre-pass rows (appends from earlier cubes sit in
-    // the tail, past snapshot[i]); only *other* cubes' tables are mutated.
+    // the tail, past the planned rows); only *other* cubes' tables are
+    // mutated.
     cube.table.ForEachRow(
-        0, snapshot[i], [&](RowId r, const FactTable::RowRef& row) {
+        0, plan.target.size(), [&](RowId r, const FactTable::RowRef& row) {
           size_t target = plan.target[r];
           if (target == i) return;
           if (target == kDeletedCell) {
@@ -599,7 +594,6 @@ std::shared_ptr<const vm::RollupProgram> SubcubeManager::CompileRollup(
     const std::vector<CategoryId>& target) const {
   // No fallback counted here: the evaluation sites (AggregateFormation)
   // count one when they walk per fact instead.
-  if (!vm::Enabled()) return nullptr;
   const std::string rkey = cache::RollupFingerprint(target, cache_->epoch());
   std::shared_ptr<const vm::RollupProgram> roll = cache_->LookupRollup(rkey);
   if (roll == nullptr) {
@@ -649,28 +643,23 @@ SubcubeManager::QuerySubresultsLocked(
   }
 
   // The predicate compiled to bytecode (src/vm, docs/COMPILATION.md) under
-  // the conservative approach the per-cube Select uses, cached per
+  // the conservative approach the per-cube selection uses, cached per
   // (approach, predicate, NOW day, epoch) like the ScanSpec. Null — per-row
-  // tree interpretation, byte-identical — while DWRED_VM_DISABLED or when
-  // the compiler rejects the predicate.
+  // tree interpretation, byte-identical — when the compiler rejects the
+  // predicate.
   std::shared_ptr<const vm::PredProgram> prog;
   if (pred != nullptr) {
-    if (vm::Enabled()) {
-      const std::string vkey = cache::ProgramFingerprint(
-          ctx_, *pred, now_day, cache_->epoch(),
-          SelectionApproachName(SelectionApproach::kConservative));
-      prog = cache_->LookupProgram(vkey);
-      if (prog == nullptr) {
-        if (auto compiled = vm::PredProgram::Compile(
-                ctx_, *pred,
-                QueryAtomOracle(now_day, SelectionApproach::kConservative))) {
-          prog = cache_->InsertProgram(
-              vkey,
-              std::make_shared<const vm::PredProgram>(std::move(*compiled)));
-        }
+    const std::string vkey = cache::ProgramFingerprint(
+        ctx_, *pred, now_day, cache_->epoch(),
+        SelectionApproachName(SelectionApproach::kConservative));
+    prog = cache_->LookupProgram(vkey);
+    if (prog == nullptr) {
+      if (auto compiled = vm::PredProgram::Compile(
+              ctx_, *pred,
+              QueryAtomOracle(now_day, SelectionApproach::kConservative))) {
+        prog = cache_->InsertProgram(
+            vkey, std::make_shared<const vm::PredProgram>(std::move(*compiled)));
       }
-    } else {
-      vm::CountFallback();
     }
   }
   // The target-granularity rollup tables, compiled once per query and shared
@@ -679,11 +668,10 @@ SubcubeManager::QuerySubresultsLocked(
   if (target != nullptr && rollup == nullptr) rollup = CompileRollup(*target);
   // The unsynchronized rewrite filters every unioned row through the
   // specification's action predicates — compile those once per query too.
-  SpecPrograms spec_progs;
-  if (!assume_synchronized) spec_progs = CompileSpecPrograms(now_day);
-  const SpecPrograms* resp_progs = spec_progs.empty() ? nullptr : &spec_progs;
+  SpecPrograms resp_progs;
+  if (!assume_synchronized) resp_progs = CompileSpecPrograms(now_day);
   if (profile != nullptr) {
-    profile->compiled = prog != nullptr || resp_progs != nullptr;
+    profile->compiled = prog != nullptr || !resp_progs.empty();
   }
 
   if (profile != nullptr) {
@@ -721,10 +709,12 @@ SubcubeManager::QuerySubresultsLocked(
     obs::SubcubeProfile* sc =
         profile != nullptr ? &profile->subcubes[i] : nullptr;
 
-    const size_t ndims = dims_.size();
-    std::vector<ValueId> cell(ndims);
-    bool selected = false;
-    bool aggregated = false;
+    // Two evaluation shapes. Pruned (synchronized, with a predicate): the
+    // fused operators read the storage segments directly — σ→α folded
+    // straight into output groups when there is a target, σ alone
+    // otherwise — with no intermediate MO (operators.h: AggregateFromScan,
+    // SelectFromScan). Unpruned or stale: the cube's rows as an MO, then
+    // Figure 9's rewrite when stale, σ, and α.
     MultidimensionalObject base(fact_type_, dims_, measures_);
     if (prune) {
       scan::ScanPlan plan = scan::PlanTableScan(cube.table, scan_spec);
@@ -738,36 +728,19 @@ SubcubeManager::QuerySubresultsLocked(
           sc->rows_scanned += static_cast<int64_t>(u.end - u.begin);
         }
       }
-      if (prog != nullptr && target != nullptr && assume_synchronized) {
-        // Fully fused σ→α: weights off the storage segments through the
-        // compiled program, each surviving row folded into its output group
-        // directly — no intermediate selection MO at all. Byte-identical to
-        // the two-operator pipeline below (operators.h: AggregateFromScan).
-        // Only the synchronized path fuses: Figure 9's rewrite needs the
-        // un-aggregated selection first.
+      if (target != nullptr) {
         DWRED_ASSIGN_OR_RETURN(
             base, AggregateFromScan(cube.table, plan, *pred, now_day,
                                     SelectionApproach::kConservative,
                                     fact_type_, dims_, measures_, *target,
                                     prog, rollup));
-        selected = true;
-        aggregated = true;
-      } else if (prog != nullptr) {
-        // Fused scan-and-select: σ[pred] evaluated straight off the storage
-        // segments through the compiled program, skipping the MaterializeMO
-        // copy. Byte-identical to the two-step pipeline below
-        // (operators.h: SelectFromScan).
+      } else {
         DWRED_ASSIGN_OR_RETURN(
             SelectionResult sel,
             SelectFromScan(cube.table, plan, *pred, now_day,
                            SelectionApproach::kConservative, fact_type_,
-                           dims_, measures_, prog,
-                           /*materialize_names=*/target == nullptr));
+                           dims_, measures_, prog));
         base = std::move(sel.mo);
-        selected = true;
-      } else {
-        base = scan::MaterializeMO(cube.table, plan, fact_type_, dims_,
-                                   measures_);
       }
     } else {
       // Unpruned path: no scan plan, hence no counter movement to attribute;
@@ -790,6 +763,8 @@ SubcubeManager::QuerySubresultsLocked(
       // strictly-lower cube generalizes that to arbitrarily stale
       // warehouses (facts can leapfrog a tier whose window slid past
       // between synchronizations).
+      const size_t ndims = dims_.size();
+      std::vector<ValueId> cell(ndims);
       std::vector<size_t> ancestors;
       for (size_t p = 0; p < cubes_.size(); ++p) {
         if (p == i) continue;
@@ -823,7 +798,7 @@ SubcubeManager::QuerySubresultsLocked(
           cell[d] = unioned.Coord(f, static_cast<DimensionId>(d));
         }
         DWRED_ASSIGN_OR_RETURN(
-            size_t resp, ResponsibleCubeWith(cell, now_day, resp_progs));
+            size_t resp, ResponsibleCubeWith(cell, now_day, &resp_progs));
         if (resp != i) continue;
         std::vector<int64_t> meas(measures_.size());
         for (size_t m = 0; m < measures_.size(); ++m) {
@@ -838,13 +813,13 @@ SubcubeManager::QuerySubresultsLocked(
                                    AggregationApproach::kAvailability,
                                    /*track_provenance=*/false));
     }
-    if (pred && !selected) {
+    if (pred != nullptr && !prune) {
       DWRED_ASSIGN_OR_RETURN(
           SelectionResult sel,
           Select(base, *pred, now_day, SelectionApproach::kConservative, prog));
       base = std::move(sel.mo);
     }
-    if (target && !aggregated) {
+    if (target != nullptr && !prune) {
       DWRED_ASSIGN_OR_RETURN(
           base, AggregateFormation(base, *target,
                                    AggregationApproach::kAvailability,
@@ -1101,10 +1076,9 @@ Status SubcubeManager::ChangeSpecification(ReductionSpecification new_spec,
   std::vector<AggFn> aggs;
   for (const auto& m : measures_) aggs.push_back(m.agg);
   // Compiled after the layout swap so the programs reflect the new actions.
-  const SpecPrograms spec_progs = CompileSpecPrograms(now_day);
-  const SpecPrograms* progs = spec_progs.empty() ? nullptr : &spec_progs;
+  const SpecPrograms progs = CompileSpecPrograms(now_day);
   for (const Row& row : rows) {
-    auto target_res = ResponsibleCubeWith(row.cell, now_day, progs);
+    auto target_res = ResponsibleCubeWith(row.cell, now_day, &progs);
     if (!target_res.ok()) return target_res.status();
     size_t target = target_res.value();
     if (target == kDeletedCell) continue;  // claimed by a deletion action

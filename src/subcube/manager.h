@@ -94,13 +94,24 @@ class SubcubeManager {
   Result<size_t> ResponsibleCube(std::span<const ValueId> cell,
                                  int64_t now_day) const;
 
-  /// One compiled 0/1 program per specification action (src/vm), or an empty
-  /// vector while DWRED_VM_DISABLED. Slots whose predicate the compiler
-  /// rejects are null — those actions interpret per row. The hot
-  /// responsibility passes (Synchronize, ChangeSpecification, the
-  /// unsynchronized query rewrite) compile once and reuse across every row.
+  /// One compiled 0/1 program per specification action (src/vm). Slots whose
+  /// predicate the compiler rejects are null — those actions interpret per
+  /// row. The hot responsibility passes (Synchronize, ChangeSpecification,
+  /// the unsynchronized query rewrite) compile once and reuse across every
+  /// row.
   using SpecPrograms = std::vector<std::shared_ptr<const vm::PredProgram>>;
   SpecPrograms CompileSpecPrograms(int64_t now_day) const;
+
+  /// The read-only plan phase of Synchronize (Section 7.2): per subcube, for
+  /// every row the cube holds, the index of its responsible cube (the cube's
+  /// own index when the row stays, kDeletedCell when a deletion action
+  /// claims it). Synchronize applies exactly these targets, and the durable
+  /// layer digests them into the journal intent (io/recovery.h), so the two
+  /// can never disagree. Takes the shared snapshot lock; polls the
+  /// "cancel.sync.plan" site per shard but charges no row budget (the pass
+  /// itself does, once).
+  Result<std::vector<std::vector<size_t>>> PlanSynchronize(
+      int64_t now_day) const;
 
   /// Migrates every fact to its responsible subcube at that cube's
   /// granularity and compacts receiving cubes (Section 7.2). Returns the
@@ -194,10 +205,25 @@ class SubcubeManager {
                                      const double* action_w = nullptr) const;
 
   /// The rollup tables for one target granularity, compiled once and cached
-  /// per (granularity, epoch) in the program LRU. Null while DWRED_VM_DISABLED
-  /// or when a dimension is too large to enumerate (per-fact walks instead).
+  /// per (granularity, epoch) in the program LRU. Null when a dimension is
+  /// too large to enumerate (per-fact walks instead).
   std::shared_ptr<const vm::RollupProgram> CompileRollup(
       const std::vector<CategoryId>& target) const;
+
+  /// One subcube's synchronization plan: PlanSynchronize's per-row targets
+  /// and, when Synchronize asks for them, each migrating row's cell rolled
+  /// up to its target cube's granularity.
+  struct CubeSyncPlan {
+    std::vector<size_t> target;   ///< one entry per planned row
+    std::vector<ValueId> rolled;  ///< row-major; valid where rows migrate
+  };
+
+  /// PlanSynchronize body; the caller must hold the snapshot lock (shared or
+  /// exclusive). Fills `rolled` only when `roll` is set. A non-null
+  /// `profile` receives the compiled flag and the rows and segments
+  /// examined.
+  Result<std::vector<CubeSyncPlan>> PlanSynchronizeLocked(
+      int64_t now_day, bool roll, obs::OpProfile* profile) const;
 
   /// QuerySubresults body; the caller must hold the shared snapshot lock
   /// (the lock is not recursive, so Query cannot call the public wrapper).

@@ -1,6 +1,6 @@
 #include "vm/compiled_scan.h"
 
-#include "storage/column.h"
+#include <algorithm>
 
 namespace dwred::vm {
 
@@ -23,7 +23,7 @@ void CompiledScan::WeighBatch(const FactTable::BatchView& b, double* out,
     prog_->EvalBatch(b.dim_cols(), n, out, scratch);
     for (size_t i = 0; i < n; ++i) {
       if (out[i] == PredProgram::kOutOfRange) {
-        CountFallback();
+        CountFallback();  // coordinate interned after compilation
         GatherCell(b, ndims, i, cell.data());
         out[i] = fallback_(cell.data());
       }
@@ -39,38 +39,10 @@ void CompiledScan::WeighBatch(const FactTable::BatchView& b, double* out,
 void CompiledScan::WeighTable(const FactTable& t, const scan::ScanPlan& plan,
                               std::vector<double>* weights) const {
   weights->assign(t.num_rows(), 0.0);
-  const size_t ndims = t.num_dims();
-  if (storage::ColumnarEnabled()) {
-    scan::Execute(plan, [&](size_t, size_t begin, size_t end) {
-      PredProgram::BatchScratch scratch;
-      std::vector<ValueId> cell(ndims);
-      t.ForEachDimBatch(begin, end, [&](const FactTable::BatchView& b) {
-        double* out = weights->data() + b.first_row();
-        const size_t n = b.rows();
-        if (prog_ != nullptr) {
-          prog_->EvalBatch(b.dim_cols(), n, out, &scratch);
-          for (size_t i = 0; i < n; ++i) {
-            if (out[i] == PredProgram::kOutOfRange) {
-              CountFallback();  // coordinate interned after compilation
-              GatherCell(b, ndims, i, cell.data());
-              out[i] = fallback_(cell.data());
-            }
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            GatherCell(b, ndims, i, cell.data());
-            out[i] = fallback_(cell.data());
-          }
-        }
-      });
-    });
-    return;
-  }
   scan::Execute(plan, [&](size_t, size_t begin, size_t end) {
-    std::vector<ValueId> cell(ndims);
-    t.ForEachRow(begin, end, [&](RowId r, const FactTable::RowRef& row) {
-      for (size_t d = 0; d < ndims; ++d) cell[d] = row.coord(d);
-      (*weights)[r] = Weigh(cell.data());
+    PredProgram::BatchScratch scratch;
+    t.ForEachDimBatch(begin, end, [&](const FactTable::BatchView& b) {
+      WeighBatch(b, weights->data() + b.first_row(), &scratch);
     });
   });
 }
@@ -79,41 +51,41 @@ void CompiledScan::WeighMo(const MultidimensionalObject& mo,
                            std::vector<double>* weights) const {
   weights->assign(mo.num_facts(), 0.0);
   const size_t ndims = mo.num_dimensions();
-  if (storage::ColumnarEnabled() && prog_ != nullptr && ndims > 0) {
-    // The MO fact store is row-major; transpose chunks into column scratch
-    // so the batch evaluator sees flat columns.
-    constexpr size_t kChunk = FactTable::kBatchRows;
-    scan::Execute(
-        scan::PlanMoScan(mo.num_facts(), /*grain=*/512),
-        [&](size_t, size_t begin, size_t end) {
-          PredProgram::BatchScratch scratch;
-          std::vector<ValueId> cols(ndims * kChunk);
-          std::vector<const ValueId*> colp(ndims);
-          for (size_t d = 0; d < ndims; ++d) colp[d] = cols.data() + d * kChunk;
-          for (FactId f = begin; f < end; f += kChunk) {
-            const size_t n = std::min<size_t>(kChunk, end - f);
-            for (size_t i = 0; i < n; ++i) {
-              const ValueId* row = mo.FactCoords(f + i).data();
-              for (size_t d = 0; d < ndims; ++d) cols[d * kChunk + i] = row[d];
-            }
-            double* out = weights->data() + f;
-            prog_->EvalBatch(colp.data(), n, out, &scratch);
-            for (size_t i = 0; i < n; ++i) {
-              if (out[i] == PredProgram::kOutOfRange) {
-                CountFallback();
-                out[i] = fallback_(mo.FactCoords(f + i).data());
-              }
-            }
-          }
-        });
+  if (prog_ == nullptr) {
+    scan::Execute(scan::PlanMoScan(mo.num_facts(), /*grain=*/512),
+                  [&](size_t, size_t begin, size_t end) {
+                    for (FactId f = begin; f < end; ++f) {
+                      (*weights)[f] = fallback_(mo.FactCoords(f).data());
+                    }
+                  });
     return;
   }
-  scan::Execute(scan::PlanMoScan(mo.num_facts(), /*grain=*/512),
-                [&](size_t, size_t begin, size_t end) {
-                  for (FactId f = begin; f < end; ++f) {
-                    (*weights)[f] = Weigh(mo.FactCoords(f).data());
-                  }
-                });
+  // The MO fact store is row-major; transpose chunks into column scratch so
+  // the batch evaluator sees flat columns.
+  constexpr size_t kChunk = FactTable::kBatchRows;
+  scan::Execute(
+      scan::PlanMoScan(mo.num_facts(), /*grain=*/512),
+      [&](size_t, size_t begin, size_t end) {
+        PredProgram::BatchScratch scratch;
+        std::vector<ValueId> cols(ndims * kChunk);
+        std::vector<const ValueId*> colp(ndims);
+        for (size_t d = 0; d < ndims; ++d) colp[d] = cols.data() + d * kChunk;
+        for (FactId f = begin; f < end; f += kChunk) {
+          const size_t n = std::min<size_t>(kChunk, end - f);
+          for (size_t i = 0; i < n; ++i) {
+            const ValueId* row = mo.FactCoords(f + i).data();
+            for (size_t d = 0; d < ndims; ++d) cols[d * kChunk + i] = row[d];
+          }
+          double* out = weights->data() + f;
+          prog_->EvalBatch(colp.data(), n, out, &scratch);
+          for (size_t i = 0; i < n; ++i) {
+            if (out[i] == PredProgram::kOutOfRange) {
+              CountFallback();
+              out[i] = fallback_(mo.FactCoords(f + i).data());
+            }
+          }
+        }
+      });
 }
 
 }  // namespace dwred::vm

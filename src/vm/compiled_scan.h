@@ -2,11 +2,10 @@
 
 // CompiledScan: a PredProgram bound to its per-row interpreter fallback,
 // evaluating whole shards without touching the predicate AST
-// (docs/COMPILATION.md). The three hot sites (per-subcube query evaluation,
-// Reduce's cell-grouping scan, the schema-reduction selection scans) hold one
-// of these per predicate and call Weigh*/ — behind the existing ScanSpec
-// planning entry points, so pruning, sharding, and the byte-identical
-// determinism contract are untouched.
+// (docs/COMPILATION.md). The selection operators (Select, SelectFromScan,
+// AggregateFromScan) hold one of these per predicate and call Weigh* —
+// behind the existing ScanSpec planning entry points, so pruning, sharding,
+// and the byte-identical determinism contract are untouched.
 
 #include <functional>
 #include <memory>
@@ -24,39 +23,24 @@ using RowEval = std::function<double(const ValueId*)>;
 
 class CompiledScan {
  public:
-  /// `prog` may be null (kill switch / compile rejection): every row then
-  /// goes through `fallback`. The fallback must match the program's
-  /// semantics exactly — bind EvalQueryPredOnCoords for selection weights or
-  /// EvalPredOnCell for 0/1 spec predicates.
+  /// `prog` may be null (compile rejection): every row then goes through
+  /// `fallback`. The fallback must match the program's semantics exactly —
+  /// bind EvalQueryPredOnCoords for selection weights or EvalPredOnCell for
+  /// 0/1 spec predicates.
   CompiledScan(std::shared_ptr<const PredProgram> prog, RowEval fallback)
       : prog_(std::move(prog)), fallback_(std::move(fallback)) {}
 
-  bool compiled() const { return prog_ != nullptr; }
-
-  /// Weight of one direct cell.
-  double Weigh(const ValueId* coords) const {
-    if (prog_ != nullptr) {
-      const double w = prog_->Eval(coords);
-      if (w != PredProgram::kOutOfRange) return w;
-      CountFallback();  // coordinate interned after compilation
-    }
-    return fallback_(coords);
-  }
-
   /// Fills `weights` (indexed by logical row id, sized to `t`; rows outside
   /// the plan keep weight 0 — pruning guarantees they cannot match) by
-  /// evaluating every planned row, shard-parallel on the global pool. With
-  /// the columnar path enabled (storage::ColumnarEnabled) each shard runs
-  /// PredProgram::EvalBatch chunk-at-a-time over the segment columns and
-  /// late-materializes full cells only for out-of-range lanes; the kill
-  /// switch falls back to the PR-8 row-at-a-time path. Deterministic: each
-  /// shard writes a disjoint range, and both paths produce identical bits.
+  /// evaluating every planned row, shard-parallel on the global pool: each
+  /// shard runs WeighBatch chunk-at-a-time over the segment columns.
+  /// Deterministic: each shard writes a disjoint range.
   void WeighTable(const FactTable& t, const scan::ScanPlan& plan,
                   std::vector<double>* weights) const;
 
   /// Fills `weights` (one slot per fact) over an MO's facts, shard-parallel.
-  /// The columnar path transposes row-major fact chunks into column scratch
-  /// and batch-evaluates them.
+  /// Row-major fact chunks are transposed into column scratch and
+  /// batch-evaluated.
   void WeighMo(const MultidimensionalObject& mo,
                std::vector<double>* weights) const;
 

@@ -1,7 +1,6 @@
 #include "vm/program.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
@@ -9,11 +8,6 @@
 #include "obs/metrics.h"
 
 namespace dwred::vm {
-
-bool Enabled() {
-  const char* v = std::getenv("DWRED_VM_DISABLED");
-  return v == nullptr || v[0] == '\0';
-}
 
 namespace {
 

@@ -31,9 +31,9 @@
 // cache-keying bug, but exactness beats trust): an out-of-range coordinate
 // returns kOutOfRange and the caller interprets that one row.
 //
-// The whole layer is disabled by the DWRED_VM_DISABLED environment variable
-// (re-read on every decision point, same convention as DWRED_CACHE_DISABLED);
-// disabling the VM never changes result bytes, only their cost.
+// The compiled path is the only production path. The tree interpreter keeps
+// two roles: the per-row fallback described above, and the oracle the
+// differential tests compare against (src/testing/reference.h).
 //
 // Observability: dwred_vm_compiles / dwred_vm_cache_hits / dwred_vm_fallbacks
 // counters; OpProfile carries a `compiled` flag.
@@ -50,12 +50,8 @@
 
 namespace dwred::vm {
 
-/// True unless the DWRED_VM_DISABLED environment variable is set to a
-/// non-empty value. Re-read on every call.
-bool Enabled();
-
 /// Bumps dwred_vm_fallbacks: an eligible site evaluated via the interpreter
-/// (kill switch, compile rejection, or an out-of-range coordinate).
+/// (compile rejection or an out-of-range coordinate).
 void CountFallback();
 /// Bumps dwred_vm_cache_hits: a compiled program served from the cache.
 void CountCacheHit();

@@ -404,6 +404,25 @@ TEST_P(CancelMatrixTest, TinyRowBudgetExhaustsQueryCleanly) {
   EXPECT_EQ(prof.budget_rows_charged, roomy.rows_charged());
 }
 
+TEST_P(CancelMatrixTest, SyncPassChargesRowBudgetOnce) {
+  // The durable pass plans twice — once to digest its journal intent, once
+  // to apply — but only the apply charges: exactly one row per stored row.
+  const std::string dir = base_ + "/charge";
+  auto dw_r = BuildSubcubeBase(dir);
+  ASSERT_TRUE(dw_r.ok()) << dw_r.status().ToString();
+  DurableWarehouse& dw = *dw_r.value();
+  int64_t rows = 0;
+  for (size_t i = 0; i < dw.subcubes()->num_subcubes(); ++i) {
+    rows += static_cast<int64_t>(dw.subcubes()->subcube(i).table.num_rows());
+  }
+  ASSERT_GT(rows, 0);
+  runtime::OpContext ctx;
+  ctx.SetMaxRows(rows);  // one charge fits; a second would exhaust it
+  runtime::ScopedOpContext scope(ctx);
+  ASSERT_TRUE(dw.SynchronizePass(Now2000()).ok());
+  EXPECT_EQ(ctx.rows_charged(), rows);
+}
+
 TEST_P(CancelMatrixTest, AbortedQueryFillsProfileOutcome) {
   const std::string dir = base_ + "/profile";
   auto dw_r = BuildSubcubeBase(dir);

@@ -1,13 +1,10 @@
 // Columnar-layout tests (docs/STORAGE.md "Columnar layout"): encoding
 // round-trips and the cost model, batch iteration across chunk and segment
-// boundaries, tombstones inside a chunk, empty/all-pruned scans, the
-// DWRED_COLUMNAR_DISABLED kill switch, the storage byte-split gauges, the
-// capacity-based ApproxBytes accounting, and bitwise EvalBatch/Eval
-// equivalence.
+// boundaries, tombstones inside a chunk, empty/all-pruned scans, the storage
+// byte-split gauges, the capacity-based ApproxBytes accounting, and bitwise
+// EvalBatch/Eval equivalence.
 
 #include "storage/column.h"
-
-#include <stdlib.h>
 
 #include <string>
 #include <vector>
@@ -26,19 +23,6 @@ namespace {
 
 using storage::ColEncoding;
 using storage::EncodedColumn;
-
-/// Flips the columnar kill switch for a scope; restores columnar on exit.
-struct ColumnarSwitch {
-  explicit ColumnarSwitch(bool enabled) { Set(enabled); }
-  ~ColumnarSwitch() { Set(true); }
-  static void Set(bool enabled) {
-    if (enabled) {
-      ::unsetenv("DWRED_COLUMNAR_DISABLED");
-    } else {
-      ::setenv("DWRED_COLUMNAR_DISABLED", "1", /*overwrite=*/1);
-    }
-  }
-};
 
 template <typename T>
 void ExpectRoundTrip(const EncodedColumn<T>& col, const std::vector<T>& want) {
@@ -190,13 +174,22 @@ TEST(ColumnarTest, SealedSegmentsEncodePerColumn) {
   EXPECT_LT(t.SegmentBytes(0),
             256 * (2 * sizeof(ValueId) + 2 * sizeof(int64_t)));
   EXPECT_LE(t.Bytes(), t.RowEquivalentBytes());
-  // Logical reads are unchanged.
+  // Logical reads are unchanged, through both the point reads and the row
+  // iterator.
   for (RowId r = 0; r < t.num_rows(); ++r) {
     EXPECT_EQ(t.Coord(r, 0), static_cast<ValueId>(r / 64));
     EXPECT_EQ(t.Coord(r, 1), static_cast<ValueId>((r % 3) * 70000));
     EXPECT_EQ(t.Measure(r, 0), static_cast<int64_t>(r) * 1'000'000'007 + 7);
     EXPECT_EQ(t.Measure(r, 1), 500 + static_cast<int64_t>(r % 100));
   }
+  RowId seen = 0;
+  t.ForEachRow(0, t.num_rows(), [&](RowId r, const FactTable::RowRef& row) {
+    EXPECT_EQ(row.coord(0), t.Coord(r, 0));
+    EXPECT_EQ(row.coord(1), t.Coord(r, 1));
+    EXPECT_EQ(row.measure(0), t.Measure(r, 0));
+    ++seen;
+  });
+  EXPECT_EQ(seen, t.num_rows());
 }
 
 TEST(ColumnarTest, BatchIterationCrossesChunkAndSegmentBoundaries) {
@@ -272,29 +265,6 @@ TEST(ColumnarTest, EmptyAndFullyPrunedScans) {
       });
   EXPECT_EQ(calls, 0u);
   EXPECT_EQ(skipped, t.num_rows());
-}
-
-TEST(ColumnarTest, KillSwitchSealsPlainAndKeepsEncodedReadable) {
-  // Sealed while enabled: encoded.
-  FactTable enc = MakeEncodableTable(/*rows=*/128, /*segment_rows=*/64);
-  ASSERT_TRUE(enc.SegmentEncoded(0));
-  {
-    ColumnarSwitch off(false);
-    // Sealing under the kill switch keeps plain columns.
-    FactTable plain = MakeEncodableTable(/*rows=*/128, /*segment_rows=*/64);
-    EXPECT_TRUE(plain.SegmentSealed(0));
-    EXPECT_FALSE(plain.SegmentEncoded(0));
-    EXPECT_EQ(plain.Bytes(), plain.RowEquivalentBytes());
-    // Already-encoded segments stay readable with the switch off, through
-    // both the point reads and the (row-path) iterator.
-    EXPECT_EQ(enc.Coord(70, 0), 1u);
-    RowId seen = 0;
-    enc.ForEachRow(0, enc.num_rows(), [&](RowId r, const FactTable::RowRef& row) {
-      EXPECT_EQ(row.coord(0), enc.Coord(r, 0));
-      ++seen;
-    });
-    EXPECT_EQ(seen, enc.num_rows());
-  }
 }
 
 TEST(ColumnarTest, StorageByteGaugesSplit) {

@@ -18,8 +18,12 @@
 #include "io/snapshot.h"
 #include "mdm/paper_example.h"
 #include "paper_actions.h"
+#include "io/csv.h"
+#include "io/journal.h"
 #include "spec/parser.h"
 #include "testing/fault.h"
+#include "testing/spec_gen.h"
+#include "workload/clickstream.h"
 
 namespace dwred {
 namespace {
@@ -282,6 +286,78 @@ TEST_F(RecoveryTest, RecoverWarehouseIsTheOpenEntryPoint) {
 TEST_F(RecoveryTest, OpenOnMissingDirectoryFails) {
   auto missing = DurableWarehouse::Open(dir_ + "_nope");
   EXPECT_FALSE(missing.ok());
+}
+
+/// The committed intents of the journal in `dir`, in lsn order.
+std::vector<IntentRecord> JournalIntents(const std::string& dir) {
+  auto bytes = ReadFile(dir + "/journal.dwal");
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  if (!bytes.ok()) return {};
+  auto scan = ScanJournal(bytes.value());
+  EXPECT_TRUE(scan.ok()) << scan.status().ToString();
+  if (!scan.ok()) return {};
+  std::vector<IntentRecord> out;
+  for (const CommittedOp& op : scan.value().committed) out.push_back(op.intent);
+  return out;
+}
+
+/// A seeded clickstream warehouse under a generated sound-chain
+/// specification with deletion actions (so the digests cover deletions).
+struct SeededWarehouse {
+  ClickstreamWorkload w;
+  ReductionSpecification spec;
+  int64_t now = 0;
+
+  SeededWarehouse() {
+    ClickstreamConfig cfg;
+    cfg.seed = 83;
+    cfg.num_domains = 6;
+    cfg.urls_per_domain = 3;
+    cfg.num_clicks = 1200;
+    cfg.span_days = 3 * 365;
+    w = MakeClickstream(cfg);
+    testing::SpecGenOptions opts;
+    opts.num_actions = 3;
+    opts.sound_chain = true;
+    opts.deletion_prob = 0.5;
+    spec = testing::GenerateSpec(*w.mo, 11, opts).take();
+    now = DaysFromCivil(cfg.start) + 900;
+  }
+};
+
+// Journal compatibility pin: the synchronize and reduce plan digests are the
+// on-disk contract between a journal and the code that replays it (replay
+// re-plans and must reproduce each intent exactly). The constants were
+// recorded by the interpreted planners these digests originally came from; a
+// planner change that moves them would orphan every existing journal.
+TEST_F(RecoveryTest, PlanDigestsArePinned) {
+  {
+    SeededWarehouse sw;
+    auto dw = DurableWarehouse::Create(dir_ + "/sync", std::move(sw.w.mo),
+                                       std::move(sw.spec));
+    ASSERT_TRUE(dw.ok()) << dw.status().ToString();
+    ASSERT_TRUE(dw.value()->EnableSubcubes().ok());
+    ASSERT_TRUE(dw.value()->SynchronizePass(sw.now).ok());
+    std::vector<IntentRecord> intents = JournalIntents(dir_ + "/sync");
+    ASSERT_EQ(intents.size(), 2u);
+    const IntentRecord& sync = intents[1];
+    ASSERT_EQ(sync.op.kind, JournalOpKind::kSynchronize);
+    EXPECT_EQ(sync.affected_count, 43u);
+    EXPECT_EQ(sync.affected_digest, 17665075987746037389ull);
+  }
+  {
+    SeededWarehouse sw;
+    auto dw = DurableWarehouse::Create(dir_ + "/reduce", std::move(sw.w.mo),
+                                       std::move(sw.spec));
+    ASSERT_TRUE(dw.ok()) << dw.status().ToString();
+    ASSERT_TRUE(dw.value()->ReducePass(sw.now).ok());
+    std::vector<IntentRecord> intents = JournalIntents(dir_ + "/reduce");
+    ASSERT_EQ(intents.size(), 1u);
+    const IntentRecord& reduce = intents[0];
+    ASSERT_EQ(reduce.op.kind, JournalOpKind::kReduce);
+    EXPECT_EQ(reduce.affected_count, 43u);
+    EXPECT_EQ(reduce.affected_digest, 8044351362873809680ull);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Scan-layer tests: plan shapes over the segment manifest, zone-map pruning
 // soundness (pruned rows never carry selection weight), metrics, and
-// byte-identical materialization with and without pruning.
+// byte-identical selection with and without pruning.
 
 #include "scan/scan.h"
 
@@ -102,6 +102,18 @@ struct ChronoTable {
   }
 };
 
+/// σ[pred] over the plan's rows straight off the table, with no compiled
+/// program: the interpreter-fallback shape of the pruned query path.
+SelectionResult PrunedSelect(const ChronoTable& ct, const scan::ScanPlan& plan,
+                             const PredExpr& pred) {
+  return SelectFromScan(ct.t, plan, pred, ct.now,
+                        SelectionApproach::kConservative, "Click",
+                        ct.ex.mo->dimensions(),
+                        std::vector<MeasureType>(ct.ex.mo->measure_types()),
+                        /*compiled=*/nullptr)
+      .take();
+}
+
 TEST(ScanPlanTest, ZoneMapsPruneOutOfWindowSegments) {
   ChronoTable ct;
   // Keep roughly the first half of the year: later segments hold only
@@ -165,10 +177,7 @@ TEST(ScanPlanTest, PrunedMaterializationMatchesFullSelect) {
     scan::ScanSpec spec = scan::ScanSpec::Compile(*ct.ex.mo, *pred, ct.now,
                                                   LiberalOracle(ct.now));
     scan::ScanPlan plan = scan::PlanTableScan(ct.t, spec);
-    MultidimensionalObject pruned = scan::MaterializeMO(
-        ct.t, plan, "Click", ct.ex.mo->dimensions(), measures);
-    SelectionResult got =
-        Select(pruned, *pred, ct.now, SelectionApproach::kConservative).take();
+    SelectionResult got = PrunedSelect(ct, plan, *pred);
 
     ASSERT_EQ(got.mo.num_facts(), want.mo.num_facts()) << text;
     for (FactId f = 0; f < want.mo.num_facts(); ++f) {
@@ -227,10 +236,7 @@ TEST(ScanPlanTest, TombstonedZoneExtremesStaySound) {
     scan::ScanSpec spec = scan::ScanSpec::Compile(*ct.ex.mo, *pred, ct.now,
                                                   LiberalOracle(ct.now));
     scan::ScanPlan plan = scan::PlanTableScan(ct.t, spec);
-    MultidimensionalObject pruned = scan::MaterializeMO(
-        ct.t, plan, "Click", ct.ex.mo->dimensions(), measures);
-    SelectionResult got =
-        Select(pruned, *pred, ct.now, SelectionApproach::kConservative).take();
+    SelectionResult got = PrunedSelect(ct, plan, *pred);
     EXPECT_EQ(got.mo.num_facts(), want.mo.num_facts()) << text;
     if (got.mo.num_facts() == want.mo.num_facts()) {
       for (FactId f = 0; f < want.mo.num_facts(); ++f) {
@@ -284,25 +290,27 @@ TEST(ScanPlanTest, TombstonedZoneExtremesStaySound) {
   }
 }
 
-TEST(ScanPlanTest, MaterializeKeepsLogicalFactNames) {
+TEST(ScanPlanTest, PrunedSelectKeepsLogicalFactNames) {
   ChronoTable ct;
   auto pred = ParsePredicate(*ct.ex.mo, "Time.day >= 2000/10/1").take();
   scan::ScanSpec spec = scan::ScanSpec::Compile(*ct.ex.mo, *pred, ct.now,
                                                 LiberalOracle(ct.now));
   scan::ScanPlan plan = scan::PlanTableScan(ct.t, spec);
   ASSERT_GT(plan.segments_pruned, 0u);
+  SelectionResult got = PrunedSelect(ct, plan, *pred);
+  // Each selected fact keeps its full-scan name "fact_<logical row>", and
+  // the surviving names are exactly the full Select's.
   std::vector<MeasureType> measures(ct.ex.mo->measure_types());
-  MultidimensionalObject pruned = scan::MaterializeMO(
-      ct.t, plan, "Click", ct.ex.mo->dimensions(), measures);
-  // Fact f of the materialization is logical row units[...]: its name must
-  // be the full-scan name "fact_<logical row>".
-  FactId f = 0;
-  for (const exec::Shard& u : plan.units) {
-    for (size_t r = u.begin; r < u.end; ++r, ++f) {
-      EXPECT_EQ(pruned.FactName(f), "fact_" + std::to_string(r));
-    }
+  MultidimensionalObject full =
+      ct.t.ToMO("Click", ct.ex.mo->dimensions(), measures);
+  SelectionResult want =
+      Select(full, *pred, ct.now, SelectionApproach::kConservative).take();
+  ASSERT_GT(got.mo.num_facts(), 0u);
+  ASSERT_EQ(got.mo.num_facts(), want.mo.num_facts());
+  for (FactId f = 0; f < got.mo.num_facts(); ++f) {
+    EXPECT_EQ(got.mo.FactName(f), want.mo.FactName(f));
+    EXPECT_EQ(got.mo.FactName(f).rfind("fact_", 0), 0u);
   }
-  EXPECT_EQ(f, pruned.num_facts());
 }
 
 // ApproxBytes must count what the allocator actually holds — the struct
@@ -352,10 +360,7 @@ TEST(ScanPlanTest, CompileFallbackEdgesStaySound) {
     SelectionResult want =
         Select(full, pred, ct.now, SelectionApproach::kConservative).take();
     scan::ScanPlan plan = scan::PlanTableScan(ct.t, spec);
-    MultidimensionalObject pruned = scan::MaterializeMO(
-        ct.t, plan, "Click", ct.ex.mo->dimensions(), measures);
-    SelectionResult got =
-        Select(pruned, pred, ct.now, SelectionApproach::kConservative).take();
+    SelectionResult got = PrunedSelect(ct, plan, pred);
     ASSERT_EQ(got.mo.num_facts(), want.mo.num_facts());
     for (FactId f = 0; f < want.mo.num_facts(); ++f) {
       EXPECT_EQ(got.mo.FormatFact(f), want.mo.FormatFact(f));

@@ -1,20 +1,27 @@
-// Differential fuzz harness for the bytecode VM (src/vm): the compiled
-// programs must be *bitwise* indistinguishable from the tree interpreters
-// they replace. Three layers of evidence, all seeded and deterministic:
+// Differential fuzz harness for the compiled, columnar production path: the
+// bytecode VM (src/vm), the batch scans over encoded segments, and the fused
+// query operators must be *bitwise* indistinguishable from the tree
+// interpreter. Three layers of evidence, all seeded and deterministic:
 //
-//   1. per-row weights — for hundreds of (schema, spec, predicate, approach)
-//      cases drawn through the real generator (src/testing/spec_gen) and the
-//      real parser, every fact's compiled weight equals the interpreter's
-//      double bit for bit (EXPECT_EQ on doubles is exact equality), under
-//      the 0/1 spec semantics and all three query selection approaches;
-//   2. end-to-end bytes — Reduce, Synchronize, and subcube queries produce
-//      identical full-fidelity fingerprints with the VM on and off
-//      (DWRED_VM_DISABLED) at 1 and 8 pool threads;
-//   3. liveness — the VM path demonstrably ran (dwred_vm_compiles moved), so
-//      the equalities above compare two genuinely different code paths.
+//   1. per-row weights and rollup tables — for hundreds of (schema, spec,
+//      predicate, approach) cases drawn through the real generator
+//      (src/testing/spec_gen) and the real parser, every fact's compiled
+//      weight equals the interpreter's double bit for bit (EXPECT_EQ on
+//      doubles is exact equality), under the 0/1 spec semantics and all
+//      three query selection approaches; and every RollupProgram table entry
+//      equals the Leq/Rollup hierarchy walk it replaces;
+//   2. end-to-end oracles at 1 and 8 pool threads — subcube queries, both
+//      synchronized and stale, equal the interpreter-only ReferenceQuery
+//      (src/testing/reference.h); every PlanSynchronize target equals the
+//      interpreted ResponsibleCube of its row; Reduce's output cells are
+//      exactly the interpreted CellOf of the surviving input facts, with the
+//      folded measures; and the bytes agree across thread counts;
+//   3. liveness — the VM path demonstrably ran (dwred_vm_compiles moved), and
+//      a predicate the compiler rejects reaches the interpreter fallback
+//      (dwred_vm_fallbacks moved) with unchanged results.
 
-#include <stdlib.h>
-
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -31,6 +38,7 @@
 #include "reduce/semantics.h"
 #include "spec/parser.h"
 #include "subcube/manager.h"
+#include "testing/reference.h"
 #include "testing/spec_gen.h"
 #include "vm/program.h"
 #include "workload/clickstream.h"
@@ -39,35 +47,15 @@
 namespace dwred {
 namespace {
 
-/// Flips the VM kill switch for a scope; restores the VM on destruction.
-struct VmSwitch {
-  explicit VmSwitch(bool enabled) { Set(enabled); }
-  ~VmSwitch() { Set(true); }
-  static void Set(bool enabled) {
-    if (enabled) {
-      ::unsetenv("DWRED_VM_DISABLED");
-    } else {
-      ::setenv("DWRED_VM_DISABLED", "1", /*overwrite=*/1);
-    }
-  }
-};
-
-/// Flips the columnar kill switch for a scope; restores columnar on exit.
-struct ColumnarSwitch {
-  explicit ColumnarSwitch(bool enabled) { Set(enabled); }
-  ~ColumnarSwitch() { Set(true); }
-  static void Set(bool enabled) {
-    if (enabled) {
-      ::unsetenv("DWRED_COLUMNAR_DISABLED");
-    } else {
-      ::setenv("DWRED_COLUMNAR_DISABLED", "1", /*overwrite=*/1);
-    }
-  }
-};
-
 int64_t CounterValue(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name, "").Value();
 }
+
+/// Restores the process-wide pool to its default size on every exit path,
+/// so a failure at 8 threads does not leak that size into later tests.
+struct PoolSizeGuard {
+  ~PoolSizeGuard() { exec::ThreadPool::ResetGlobal(2); }
+};
 
 /// Full-fidelity serialization of an MO (coordinates, measures, names,
 /// provenance) — any divergence shows up as a string mismatch.
@@ -228,8 +216,62 @@ TEST(VmDifferential, PerRowWeightsMatchInterpreterAcrossSeeds) {
       << "no program ever compiled — the harness is not testing the VM";
 }
 
-// Layer 2a: Reduce bytes are identical VM on/off at 1 and 8 threads.
-TEST(VmDifferential, ReduceBytesIdenticalVmOnOffAcrossThreads) {
+// Layer 1b: every RollupProgram table entry, for every category of every
+// dimension of both seeded schemas, equals the walk it replaces — v's
+// ancestor via Dimension::Rollup when DimensionType::Leq holds, kNotBelow
+// otherwise. The query oracle walks the hierarchy itself, so this is the
+// direct check on the tables production aggregation reads.
+TEST(VmDifferential, RollupTablesMatchHierarchyWalksAcrossSeeds) {
+  int entries = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    std::vector<std::shared_ptr<Dimension>> dims;
+    if (seed % 2 == 0) {
+      ClickstreamConfig cfg;
+      cfg.seed = 100 + seed;
+      cfg.num_domains = 4 + static_cast<size_t>(seed % 5);
+      cfg.num_clicks = 50;
+      dims = MakeClickstream(cfg).mo->dimensions();
+    } else {
+      RetailConfig cfg;
+      cfg.seed = 200 + seed;
+      cfg.brands_per_category = 2 + static_cast<size_t>(seed % 3);
+      cfg.num_sales = 50;
+      dims = MakeRetail(cfg).mo->dimensions();
+    }
+    size_t max_cats = 0;
+    for (const auto& d : dims) {
+      max_cats = std::max(max_cats, d->type().num_categories());
+    }
+    for (size_t k = 0; k < max_cats; ++k) {
+      std::vector<CategoryId> want(dims.size());
+      for (size_t d = 0; d < dims.size(); ++d) {
+        want[d] = static_cast<CategoryId>(k % dims[d]->type().num_categories());
+      }
+      auto prog = vm::RollupProgram::Compile(dims, want);
+      ASSERT_TRUE(prog.has_value()) << "seeded dimensions fit the table cap";
+      for (size_t d = 0; d < dims.size(); ++d) {
+        const Dimension& dim = *dims[d];
+        ASSERT_EQ(prog->TableSize(d), dim.num_values());
+        for (ValueId v = 0; v < dim.num_values(); ++v, ++entries) {
+          const ValueId walked =
+              dim.type().Leq(dim.value_category(v), want[d])
+                  ? dim.Rollup(v, want[d])
+                  : vm::RollupProgram::kNotBelow;
+          ASSERT_EQ(prog->TableAt(d, v), walked)
+              << "seed=" << seed << " dim=" << d << " value=" << v
+              << " category=" << want[d];
+        }
+      }
+    }
+  }
+  EXPECT_GT(entries, 1000) << "rollup table corpus shrank";
+}
+
+// Layer 2a: Reduce against the interpreted Definition 2 oracle — every
+// surviving input fact's CellOf names an output cell, the output holds no
+// other cells, and each cell's measures are its members' fold — and the
+// bytes agree at 1 and 8 threads.
+TEST(VmDifferential, ReduceMatchesInterpretedCellsAcrossThreads) {
   ClickstreamConfig cfg;
   cfg.seed = 61;
   cfg.num_domains = 10;
@@ -238,43 +280,124 @@ TEST(VmDifferential, ReduceBytesIdenticalVmOnOffAcrossThreads) {
   cfg.span_days = 3 * 365;
   ClickstreamWorkload w = MakeClickstream(cfg);
   int64_t start = DaysFromCivil(cfg.start);
+  const MultidimensionalObject& mo = *w.mo;
 
-  for (uint64_t seed : {3u, 9u}) {
+  // Seeds whose shared filters cover a large share of the facts (a domain
+  // and a whole domain group); NOW runs past the data so the oldest tier's
+  // deletion action fires.
+  size_t facts_deleted = 0;
+  size_t facts_merged = 0;
+  PoolSizeGuard pool_guard;
+  for (uint64_t seed : {23u, 40u}) {
     dwred::testing::SpecGenOptions opts;
     opts.num_actions = 3;
     opts.sound_chain = true;
+    opts.deletion_prob = 1.0;
     ReductionSpecification spec =
-        MustSpec(dwred::testing::GenerateSpec(*w.mo, seed, opts));
-    for (int64_t now : {start + 500, start + 1100}) {
+        MustSpec(dwred::testing::GenerateSpec(mo, seed, opts));
+    for (int64_t now : {start + 500, start + 1100, start + 1500}) {
+      // The oracle: interpreted cell assignment, measures folded per cell.
+      std::map<std::vector<ValueId>, std::vector<int64_t>> want;
+      for (FactId f = 0; f < mo.num_facts(); ++f) {
+        bool deleted = false;
+        ASSERT_TRUE(MaxSpecGran(mo, spec, f, now, nullptr, &deleted).ok());
+        if (deleted) {
+          ++facts_deleted;
+          continue;
+        }
+        auto cell = CellOf(mo, spec, f, now);
+        ASSERT_TRUE(cell.ok()) << cell.status().message();
+        std::span<const int64_t> meas = mo.FactMeasures(f);
+        auto [it, fresh] = want.try_emplace(
+            cell.value(), std::vector<int64_t>(meas.begin(), meas.end()));
+        if (fresh) continue;
+        ++facts_merged;
+        for (size_t m = 0; m < meas.size(); ++m) {
+          it->second[m] = CombineMeasure(
+              mo.measure_type(static_cast<MeasureId>(m)).agg, it->second[m],
+              meas[m]);
+        }
+      }
+
       std::string baseline;
       for (int threads : {1, 8}) {
         exec::ThreadPool::ResetGlobal(threads);
-        for (bool vm_on : {true, false}) {
-          VmSwitch sw(vm_on);
-          for (bool col_on : {true, false}) {
-            ColumnarSwitch cs(col_on);
-            auto reduced = Reduce(*w.mo, spec, now);
-            ASSERT_TRUE(reduced.ok()) << reduced.status().message();
-            std::string got = SaveWarehouse(reduced.value(), spec);
-            if (baseline.empty()) {
-              baseline = std::move(got);
-            } else {
-              EXPECT_EQ(got, baseline)
-                  << "threads=" << threads << " vm=" << vm_on
-                  << " columnar=" << col_on << " seed=" << seed << " diverged";
-            }
-          }
+        auto reduced = Reduce(mo, spec, now);
+        ASSERT_TRUE(reduced.ok()) << reduced.status().message();
+        const MultidimensionalObject& out = reduced.value();
+        ASSERT_EQ(out.num_facts(), want.size())
+            << "seed=" << seed << " now=" << now << " threads=" << threads;
+        for (FactId f = 0; f < out.num_facts(); ++f) {
+          std::span<const ValueId> c = out.FactCoords(f);
+          auto it = want.find(std::vector<ValueId>(c.begin(), c.end()));
+          ASSERT_NE(it, want.end())
+              << "output cell of " << out.FactName(f)
+              << " is no input fact's interpreted cell";
+          std::span<const int64_t> got = out.FactMeasures(f);
+          EXPECT_EQ(std::vector<int64_t>(got.begin(), got.end()), it->second)
+              << "measures of " << out.FactName(f) << " diverged";
+        }
+        std::string bytes = SaveWarehouse(out, spec);
+        if (baseline.empty()) {
+          baseline = std::move(bytes);
+        } else {
+          EXPECT_EQ(bytes, baseline) << "threads=" << threads
+                                     << " seed=" << seed << " diverged";
         }
       }
     }
   }
-  exec::ThreadPool::ResetGlobal(2);
+  EXPECT_GT(facts_deleted, 0u) << "no fact exercised a deletion action";
+  EXPECT_GT(facts_merged, 0u) << "no two facts shared a reduced cell";
+}
+
+/// Every row's planned target equals the interpreted ResponsibleCube of its
+/// cell.
+void ExpectPlanMatchesInterpreter(const SubcubeManager& m, int64_t now) {
+  auto plans = m.PlanSynchronize(now);
+  ASSERT_TRUE(plans.ok()) << plans.status().message();
+  ASSERT_EQ(plans.value().size(), m.num_subcubes());
+  std::vector<ValueId> cell;
+  for (size_t i = 0; i < m.num_subcubes(); ++i) {
+    const FactTable& t = m.subcube(i).table;
+    const std::vector<size_t>& target = plans.value()[i];
+    ASSERT_EQ(target.size(), t.num_rows());
+    cell.resize(t.num_dims());
+    for (RowId r = 0; r < t.num_rows(); ++r) {
+      for (size_t d = 0; d < t.num_dims(); ++d) cell[d] = t.Coord(r, d);
+      auto want = m.ResponsibleCube(cell, now);
+      ASSERT_TRUE(want.ok()) << want.status().message();
+      ASSERT_EQ(target[r], want.value())
+          << "cube " << i << " row " << r << " at now=" << now;
+    }
+  }
+}
+
+/// Query equals the interpreter oracle on `m` for one (pred, target, now,
+/// synchronized) point; returns the query's fingerprint.
+std::string ExpectQueryMatchesReference(const SubcubeManager& m,
+                                        const PredExpr* pred,
+                                        const std::vector<CategoryId>* target,
+                                        int64_t now, bool assume_synced,
+                                        bool parallel) {
+  auto q = m.Query(pred, target, now, assume_synced, parallel);
+  EXPECT_TRUE(q.ok()) << q.status().message();
+  auto ref =
+      dwred::testing::ReferenceQuery(m, pred, target, now, assume_synced);
+  EXPECT_TRUE(ref.ok()) << ref.status().message();
+  if (!q.ok() || !ref.ok()) return "";
+  const std::string got = Fingerprint(q.value());
+  EXPECT_EQ(got, Fingerprint(ref.value()))
+      << "query diverged from the interpreter oracle at now=" << now
+      << " synced=" << assume_synced
+      << " target=" << (target != nullptr) << " pred=" << (pred != nullptr);
+  return got;
 }
 
 // Layer 2b: Synchronize (including the deletion path) and subcube queries —
-// synchronized and stale rewrites — are byte-identical VM on/off at 1 and 8
-// threads.
-TEST(VmDifferential, SubcubeBytesIdenticalVmOnOffAcrossThreads) {
+// synchronized and stale rewrites, with and without a predicate or target —
+// against the interpreter oracles at 1 and 8 threads.
+TEST(VmDifferential, SubcubeMatchesInterpreterOracleAcrossThreads) {
   ClickstreamConfig cfg;
   cfg.seed = 67;
   cfg.num_domains = 10;
@@ -284,12 +407,14 @@ TEST(VmDifferential, SubcubeBytesIdenticalVmOnOffAcrossThreads) {
   ClickstreamWorkload w = MakeClickstream(cfg);
   int64_t start = DaysFromCivil(cfg.start);
 
+  // Seed 40's shared filter is a whole domain group; the last NOW runs past
+  // the data so the deletion action claims the oldest rows.
   dwred::testing::SpecGenOptions opts;
   opts.num_actions = 3;
   opts.sound_chain = true;
   opts.deletion_prob = 1.0;  // drive ResponsibleCube's deletion branch
   ReductionSpecification spec =
-      MustSpec(dwred::testing::GenerateSpec(*w.mo, 7, opts));
+      MustSpec(dwred::testing::GenerateSpec(*w.mo, 40, opts));
 
   auto pred = ParsePredicate(*w.mo, "Time.month >= NOW - 30 months");
   ASSERT_TRUE(pred.ok()) << pred.status().message();
@@ -297,44 +422,133 @@ TEST(VmDifferential, SubcubeBytesIdenticalVmOnOffAcrossThreads) {
   ASSERT_TRUE(target.ok()) << target.status().message();
 
   std::string baseline;
+  PoolSizeGuard pool_guard;
   for (int threads : {1, 8}) {
     exec::ThreadPool::ResetGlobal(threads);
-    for (bool vm_on : {true, false})
-    for (bool col_on : {true, false}) {
-      VmSwitch sw(vm_on);
-      ColumnarSwitch cs(col_on);
-      auto mgr = SubcubeManager::Create(
-          "Click", {w.time_dim, w.url_dim},
-          std::vector<MeasureType>(w.mo->measure_types()), spec);
-      ASSERT_TRUE(mgr.ok()) << mgr.status().message();
-      SubcubeManager& m = mgr.value();
-      ASSERT_TRUE(m.InsertBottomFacts(*w.mo).ok());
+    const bool parallel = threads > 1;
+    auto mgr = SubcubeManager::Create(
+        "Click", {w.time_dim, w.url_dim},
+        std::vector<MeasureType>(w.mo->measure_types()), spec);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().message();
+    SubcubeManager& m = mgr.value();
+    ASSERT_TRUE(m.InsertBottomFacts(*w.mo).ok());
 
-      std::string fp;
-      // Query the unsynchronized warehouse first (stale rewrite + per-row
-      // responsibility filter), then synchronize twice, querying after each.
-      for (int64_t now : {start + 400, start + 900}) {
-        for (bool assume_synced : {false, true}) {
-          auto q = m.Query(pred.value().get(), &target.value(), now,
-                           assume_synced, /*parallel=*/threads > 1);
-          ASSERT_TRUE(q.ok()) << q.status().message();
-          fp += "query@" + std::to_string(now) + "/" +
-                std::to_string(assume_synced) + "\n" + Fingerprint(q.value());
-        }
-        auto migrated = m.Synchronize(now);
-        ASSERT_TRUE(migrated.ok()) << migrated.status().message();
-        fp += "sync@" + std::to_string(now) + "\n" + CubeFingerprint(m);
+    std::string fp;
+    // Query the unsynchronized warehouse first (stale rewrite + per-row
+    // responsibility filter), then synchronize, querying after each pass.
+    int64_t deleted = CounterValue("dwred_subcube_sync_rows_deleted");
+    for (int64_t now : {start + 400, start + 900, start + 1500}) {
+      for (bool assume_synced : {false, true}) {
+        fp += "query@" + std::to_string(now) + "/" +
+              std::to_string(assume_synced) + "\n" +
+              ExpectQueryMatchesReference(m, pred.value().get(),
+                                          &target.value(), now, assume_synced,
+                                          parallel);
+        if (::testing::Test::HasFailure()) return;
       }
-      if (baseline.empty()) {
-        baseline = std::move(fp);
-      } else {
-        EXPECT_EQ(fp, baseline)
-            << "threads=" << threads << " vm=" << vm_on
-            << " columnar=" << col_on << " diverged";
-      }
+      ExpectPlanMatchesInterpreter(m, now);
+      if (::testing::Test::HasFatalFailure()) return;
+      auto migrated = m.Synchronize(now);
+      ASSERT_TRUE(migrated.ok()) << migrated.status().message();
+      fp += "sync@" + std::to_string(now) + "\n" + CubeFingerprint(m);
+      // The synchronized shapes: fused σ→α, σ alone, and the unpruned paths.
+      ExpectQueryMatchesReference(m, pred.value().get(), &target.value(), now,
+                                  true, parallel);
+      ExpectQueryMatchesReference(m, pred.value().get(), nullptr, now, true,
+                                  parallel);
+      ExpectQueryMatchesReference(m, nullptr, &target.value(), now, true,
+                                  parallel);
+      ExpectQueryMatchesReference(m, nullptr, nullptr, now, false, parallel);
+    }
+    EXPECT_GT(CounterValue("dwred_subcube_sync_rows_deleted"), deleted)
+        << "no synchronization exercised the deletion path";
+    if (baseline.empty()) {
+      baseline = std::move(fp);
+    } else {
+      EXPECT_EQ(fp, baseline) << "threads=" << threads << " diverged";
     }
   }
-  exec::ThreadPool::ResetGlobal(2);
+}
+
+/// An alternating, right-nested AND/OR chain `levels` connectives deep:
+/// a AND (b OR (a AND (b OR ... (a AND b)))), which means a AND b. Each
+/// level holds one pending fold on the VM's evaluation stack.
+std::shared_ptr<PredExpr> DeepChain(std::shared_ptr<PredExpr> a,
+                                    std::shared_ptr<PredExpr> b, int levels) {
+  std::shared_ptr<PredExpr> e = b;
+  for (int level = levels; level-- > 0;) {
+    e = level % 2 == 0 ? PredExpr::And({a, e}) : PredExpr::Or({b, e});
+  }
+  return e;
+}
+
+// Layer 3b: a predicate deeper than kMaxStackDepth is the one way into the
+// null-program scan path. Compile must reject it, the fallback counter must
+// move, EXPLAIN must report the interpreter, and every query shape must
+// still equal the oracle.
+TEST(VmDifferential, CompileRejectionFallsBackToInterpreterEndToEnd) {
+  ClickstreamConfig cfg;
+  cfg.seed = 71;
+  cfg.num_domains = 8;
+  cfg.urls_per_domain = 3;
+  cfg.num_clicks = 1500;
+  cfg.span_days = 3 * 365;
+  ClickstreamWorkload w = MakeClickstream(cfg);
+  int64_t start = DaysFromCivil(cfg.start);
+
+  dwred::testing::SpecGenOptions opts;
+  opts.num_actions = 3;
+  opts.sound_chain = true;
+  ReductionSpecification spec =
+      MustSpec(dwred::testing::GenerateSpec(*w.mo, 40, opts));
+
+  auto a = ParsePredicate(*w.mo, "Time.month >= NOW - 12 months");
+  ASSERT_TRUE(a.ok()) << a.status().message();
+  auto b = ParsePredicate(*w.mo, "URL.domain_grp = .com");
+  ASSERT_TRUE(b.ok()) << b.status().message();
+  const int levels = static_cast<int>(vm::PredProgram::kMaxStackDepth) + 1;
+  std::shared_ptr<PredExpr> deep = DeepChain(a.value(), b.value(), levels);
+  auto target = ParseGranularityList(*w.mo, "Time.month, URL.domain");
+  ASSERT_TRUE(target.ok()) << target.status().message();
+
+  const int64_t now = start + 900;
+  ASSERT_FALSE(vm::PredProgram::Compile(
+                   *w.mo, *deep,
+                   QueryAtomOracle(now, SelectionApproach::kConservative))
+                   .has_value())
+      << "a " << levels << "-level chain must exceed the evaluation stack";
+
+  PoolSizeGuard pool_guard;
+  for (int threads : {1, 8}) {
+    exec::ThreadPool::ResetGlobal(threads);
+    const bool parallel = threads > 1;
+    auto mgr = SubcubeManager::Create(
+        "Click", {w.time_dim, w.url_dim},
+        std::vector<MeasureType>(w.mo->measure_types()), spec);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().message();
+    SubcubeManager& m = mgr.value();
+    ASSERT_TRUE(m.InsertBottomFacts(*w.mo).ok());
+
+    const int64_t fallbacks = CounterValue("dwred_vm_fallbacks");
+    ExpectQueryMatchesReference(m, deep.get(), &target.value(), now,
+                                /*assume_synced=*/false, parallel);
+    ASSERT_TRUE(m.Synchronize(now).ok());
+    ExpectQueryMatchesReference(m, deep.get(), &target.value(), now, true,
+                                parallel);
+    ExpectQueryMatchesReference(m, deep.get(), nullptr, now, true, parallel);
+    EXPECT_GT(CounterValue("dwred_vm_fallbacks"), fallbacks)
+        << "the rejected predicate never reached the interpreter fallback";
+
+    obs::OpProfile prof;
+    auto explained = m.Query(deep.get(), &target.value(), now + 1,
+                             /*assume_synchronized=*/true, parallel, nullptr,
+                             &prof);
+    ASSERT_TRUE(explained.ok()) << explained.status().message();
+    if (obs::ProfilingEnabled()) {
+      EXPECT_FALSE(prof.compiled);
+      EXPECT_NE(prof.ToJson().find("\"compiled\":false"), std::string::npos);
+    }
+  }
 }
 
 }  // namespace

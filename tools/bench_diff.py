@@ -24,24 +24,12 @@ checks pass, 1 when a CRC or throughput check fails, 2 when the inputs are
 unusable (missing or truncated --fresh sidecar, missing --baseline-dir) — so
 CI can tell "the code regressed" from "the harness never produced numbers".
 
-The fresh sidecar is additionally checked against itself for the VM guard
-(docs/COMPILATION.md): cold rows carrying `vm` and `cold` counters are paired
-by benchmark family and thread count, and the vm=1 row must be at least
---min-vm-speedup times faster than its vm=0 twin (default 1.0 — the compiled
-path must never lose to the interpreter it replaces) with every `_crc`
-counter identical between the two (the VM changes cost, never bytes).
-
-The columnar guard (docs/STORAGE.md "Columnar layout") works the same way on
-cold rows carrying a `columnar` counter: the columnar=1 row must be at least
---min-columnar-speedup times faster than its columnar=0 twin (default 1.0 —
-the batch path over encoded segments must never lose to the row path it
-replaces) with every `_crc` counter identical between the two.
-
-The server guard (docs/SERVER.md) self-checks rows carrying both `wire_crc`
-and `embedded_crc` counters (bench_server_qps): within every row the two must
-be identical — the snapshot CRC the server reports over the wire equals the
-one computed in-process, so serving never changes bytes — and across all such
-rows the CRCs must agree (the threads x cache sweep serves one warehouse).
+The fresh sidecar is additionally checked against itself by the server guard
+(docs/SERVER.md), on rows carrying both `wire_crc` and `embedded_crc`
+counters (bench_server_qps): within every row the two must be identical —
+the snapshot CRC the server reports over the wire equals the one computed
+in-process, so serving never changes bytes — and across all such rows the
+CRCs must agree (the threads x cache sweep serves one warehouse).
 With --min-server-qps > 0, every warm row (cache=1) must additionally sustain
 at least that many requests/second.
 
@@ -54,7 +42,6 @@ committed snapshots of it record how the numbers move across PRs.
 import argparse
 import json
 import os
-import re
 import sys
 
 # Baseline files are consulted in sorted order and later files override
@@ -83,92 +70,6 @@ def time_seconds(row):
     unit = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}[
         row.get("time_unit", "ns")]
     return row["real_time"] * unit
-
-
-def vm_guard(fresh, min_speedup):
-    """Self-checks the fresh sidecar's cold VM-on/VM-off row pairs.
-
-    Rows are paired by (benchmark family, threads) where family is the
-    benchmark's base name with the Compiled/Interpreted suffix stripped —
-    this matches both the dedicated pair (BM_VmQueryColdCompiled vs
-    BM_VmQueryColdInterpreted) and sweep rows that differ only in their vm
-    argument. Returns failure strings; groups missing either side pass.
-    """
-    groups = {}
-    for name, row in fresh.items():
-        if "vm" not in row or "cold" not in row or row["cold"] != 1:
-            continue
-        family = re.sub(r"(Compiled|Interpreted)", "", name.split("/")[0])
-        key = (family, row.get("threads", 0))
-        groups.setdefault(key, {})[int(row["vm"])] = (name, row)
-
-    failures = []
-    for (family, threads), pair in sorted(groups.items()):
-        if 0 not in pair or 1 not in pair:
-            continue
-        off_name, off = pair[0]
-        on_name, on = pair[1]
-        on_t, off_t = time_seconds(on), time_seconds(off)
-        speedup = off_t / on_t if on_t > 0 else float("inf")
-        ok = speedup >= min_speedup
-        print(f"vm-guard {family} threads={threads:g}: compiled "
-              f"{on_t * 1e3:.3f}ms vs interpreted {off_t * 1e3:.3f}ms "
-              f"({speedup:.2f}x) {'ok' if ok else 'VM REGRESSION'}")
-        if not ok:
-            failures.append(
-                f"{on_name}: VM-on cold path only {speedup:.2f}x the "
-                f"interpreter ({off_name}); floor {min_speedup:.2f}x")
-        on_crcs, off_crcs = crc_counters(on), crc_counters(off)
-        for key in sorted(set(on_crcs) | set(off_crcs)):
-            if on_crcs.get(key) != off_crcs.get(key):
-                failures.append(
-                    f"{on_name}: {key} diverges between VM on/off "
-                    f"({on_crcs.get(key)} vs {off_crcs.get(key)}) — the "
-                    f"compiled path changed bytes")
-    return failures
-
-
-def columnar_guard(fresh, min_speedup):
-    """Self-checks the fresh sidecar's cold columnar-on/off row pairs.
-
-    Mirrors vm_guard: rows are paired by (benchmark family, threads) where
-    family strips the Columnar/Row suffix — matching both the dedicated pair
-    (BM_ColumnarScanColdColumnar vs BM_ColumnarScanColdRow) and sweep rows
-    that differ only in their columnar argument. Returns failure strings;
-    groups missing either side pass.
-    """
-    groups = {}
-    for name, row in fresh.items():
-        if "columnar" not in row or "cold" not in row or row["cold"] != 1:
-            continue
-        family = re.sub(r"(Columnar|Row)$", "", name.split("/")[0])
-        key = (family, row.get("threads", 0))
-        groups.setdefault(key, {})[int(row["columnar"])] = (name, row)
-
-    failures = []
-    for (family, threads), pair in sorted(groups.items()):
-        if 0 not in pair or 1 not in pair:
-            continue
-        off_name, off = pair[0]
-        on_name, on = pair[1]
-        on_t, off_t = time_seconds(on), time_seconds(off)
-        speedup = off_t / on_t if on_t > 0 else float("inf")
-        ok = speedup >= min_speedup
-        print(f"columnar-guard {family} threads={threads:g}: columnar "
-              f"{on_t * 1e3:.3f}ms vs row {off_t * 1e3:.3f}ms "
-              f"({speedup:.2f}x) {'ok' if ok else 'COLUMNAR REGRESSION'}")
-        if not ok:
-            failures.append(
-                f"{on_name}: columnar cold path only {speedup:.2f}x the "
-                f"row path ({off_name}); floor {min_speedup:.2f}x")
-        on_crcs, off_crcs = crc_counters(on), crc_counters(off)
-        for key in sorted(set(on_crcs) | set(off_crcs)):
-            if on_crcs.get(key) != off_crcs.get(key):
-                failures.append(
-                    f"{on_name}: {key} diverges between columnar on/off "
-                    f"({on_crcs.get(key)} vs {off_crcs.get(key)}) — the "
-                    f"columnar path changed bytes")
-    return failures
 
 
 def server_guard(fresh, min_qps):
@@ -220,12 +121,6 @@ def main():
                     help="fail when baseline/fresh throughput exceeds this")
     ap.add_argument("--trajectory", default=None,
                     help="append this run to the given trajectory json")
-    ap.add_argument("--min-vm-speedup", type=float, default=1.0,
-                    help="fail when a cold VM-on row is not at least this "
-                         "many times faster than its VM-off twin")
-    ap.add_argument("--min-columnar-speedup", type=float, default=1.0,
-                    help="fail when a cold columnar row is not at least this "
-                         "many times faster than its row-path twin")
     ap.add_argument("--min-server-qps", type=float, default=0.0,
                     help="fail when a warm served-query row sustains fewer "
                          "requests/second than this (0 = CRC checks only)")
@@ -309,8 +204,6 @@ def main():
                 f"{name}: {ratio:.2f}x slower than baseline {bfile} "
                 f"(band {args.max_slowdown}x)")
 
-    failures.extend(vm_guard(fresh, args.min_vm_speedup))
-    failures.extend(columnar_guard(fresh, args.min_columnar_speedup))
     failures.extend(server_guard(fresh, args.min_server_qps))
 
     if args.trajectory:
