@@ -1,11 +1,15 @@
 // B5 — querying the subcube warehouse (paper Section 7.3): per-subcube
 // evaluation plus one final combining aggregation, in both the synchronized
 // state and the un-synchronized state (Figure 9's rewrite, which additionally
-// pulls rows from immediate parents and filters by current responsibility).
+// pulls rows from every strictly-finer cube and filters by current
+// responsibility).
 //
 // Expected shape: the synchronized path's cost tracks resident rows; the
-// un-synchronized path pays a responsibility re-check per candidate row, so
-// it costs more — the price of querying without waiting for synchronization.
+// un-synchronized path first routes every stored row once (the synchronize
+// plan, read-only) and then folds each cube's routed rows, so it costs more —
+// the price of querying without waiting for synchronization. Run with
+// DWRED_CACHE_DISABLED=1: otherwise every iteration after the first is a
+// result-cache hit.
 
 #include "bench_common.h"
 

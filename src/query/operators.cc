@@ -559,6 +559,214 @@ Result<MultidimensionalObject> AggregateFormation(
   return out;
 }
 
+AvailabilityRollup::AvailabilityRollup(
+    std::vector<std::shared_ptr<Dimension>> dims,
+    std::vector<CategoryId> target,
+    std::shared_ptr<const vm::RollupProgram> tables)
+    : dims_(std::move(dims)),
+      target_(std::move(target)),
+      tables_(std::move(tables)) {
+  DWRED_CHECK(dims_.size() == target_.size());
+}
+
+ValueId AvailabilityRollup::Walk(size_t d, ValueId v) const {
+  const Dimension& dim = *dims_[d];
+  if (!dim.type().Leq(dim.value_category(v), target_[d])) return v;
+  const ValueId r = dim.Rollup(v, target_[d]);
+  DWRED_CHECK(r != kInvalidValue);
+  return r;
+}
+
+void AvailabilityRollup::RollCell(const ValueId* in, ValueId* out) const {
+  const size_t ndims = target_.size();
+  if (tables_ != nullptr && tables_->Map(in, out)) {
+    for (size_t d = 0; d < ndims; ++d) {
+      if (out[d] == vm::RollupProgram::kNotBelow) out[d] = in[d];
+    }
+    return;
+  }
+  if (tables_ != nullptr) vm::CountFallback();  // interned after compilation
+  for (size_t d = 0; d < ndims; ++d) out[d] = Walk(d, in[d]);
+}
+
+void AvailabilityRollup::RollColumns(const ValueId* const* cols, size_t n,
+                                     ValueId* const* out) const {
+  const size_t ndims = target_.size();
+  if (tables_ == nullptr) {
+    for (size_t d = 0; d < ndims; ++d) {
+      for (size_t i = 0; i < n; ++i) out[d][i] = Walk(d, cols[d][i]);
+    }
+    return;
+  }
+  bool uncovered = false;
+  for (size_t d = 0; d < ndims; ++d) {
+    const ValueId* c = cols[d];
+    ValueId* o = out[d];
+    const size_t sz = tables_->TableSize(d);
+    for (size_t i = 0; i < n; ++i) {
+      const ValueId v = c[i];
+      if (v >= sz) {
+        uncovered = true;
+        continue;
+      }
+      const ValueId r = tables_->TableAt(d, v);
+      o[i] = r == vm::RollupProgram::kNotBelow ? v : r;
+    }
+  }
+  if (!uncovered) return;
+  // Rows with a coordinate interned after compilation walk whole, once each.
+  for (size_t i = 0; i < n; ++i) {
+    bool covered = true;
+    for (size_t d = 0; d < ndims && covered; ++d) {
+      covered = cols[d][i] < tables_->TableSize(d);
+    }
+    if (covered) continue;
+    vm::CountFallback();
+    for (size_t d = 0; d < ndims; ++d) out[d][i] = Walk(d, cols[d][i]);
+  }
+}
+
+struct AvailabilityFold::Impl {
+  AvailabilityRollup roll;
+  std::vector<AggFn> aggs;
+  MultidimensionalObject out;
+  /// Packed-key mode (rollup tables and 64-bit cell keys): per dimension,
+  /// each value's rolled-up coordinate pre-shifted into its key field.
+  std::vector<int> shifts;
+  std::vector<std::vector<uint64_t>> packed_tab;
+  PackedGroupIndex packed;
+  /// Vector-keyed mode (no tables, or keys too wide to pack).
+  std::unordered_map<std::vector<ValueId>, uint32_t, CellKeyHash> groups;
+  // Per-batch scratch.
+  std::vector<uint64_t> keys;
+  std::vector<uint8_t> slow;
+  std::vector<ValueId> in, cell;
+  std::vector<int64_t> meas;
+
+  Impl(const std::string& fact_type,
+       const std::vector<std::shared_ptr<Dimension>>& dims,
+       const std::vector<MeasureType>& measures,
+       const std::vector<CategoryId>& target,
+       std::shared_ptr<const vm::RollupProgram> rollup)
+      : roll(dims, target, std::move(rollup)),
+        out(fact_type, dims, measures),
+        in(dims.size()),
+        cell(dims.size()),
+        meas(measures.size()) {
+    for (const MeasureType& m : measures) aggs.push_back(m.agg);
+    const vm::RollupProgram* rp = roll.tables();
+    std::optional<std::vector<int>> fit = PackedCellShifts(dims);
+    if (rp == nullptr || !fit) return;
+    shifts = std::move(*fit);
+    packed_tab.resize(dims.size());
+    for (size_t d = 0; d < dims.size(); ++d) {
+      packed_tab[d].resize(rp->TableSize(d));
+      for (ValueId v = 0; v < packed_tab[d].size(); ++v) {
+        const ValueId r = rp->TableAt(d, v);
+        packed_tab[d][v] =
+            static_cast<uint64_t>(r == vm::RollupProgram::kNotBelow ? v : r)
+            << shifts[d];
+      }
+    }
+    keys.resize(FactTable::kBatchRows);
+    slow.resize(FactTable::kBatchRows);
+  }
+
+  /// Adds lane i's measures to group `id`, or opens the group with them.
+  void Absorb(uint32_t& id, const int64_t* const* mcols, size_t i) {
+    const size_t nmeas = aggs.size();
+    if (id == PackedGroupIndex::kEmpty) {
+      for (size_t m = 0; m < nmeas; ++m) meas[m] = mcols[m][i];
+      // Rolled-up coordinates are interned values of these same dimensions,
+      // so the group cells append unchecked.
+      id = static_cast<uint32_t>(out.AppendFactUnchecked(cell, meas));
+      return;
+    }
+    std::span<int64_t> acc = out.MutableFactMeasures(id);
+    for (size_t m = 0; m < nmeas; ++m) {
+      acc[m] = CombineMeasure(aggs[m], acc[m], mcols[m][i]);
+    }
+  }
+
+  void Fold(const ValueId* const* cols, const int64_t* const* mcols, size_t n,
+            const double* w) {
+    const size_t ndims = cell.size();
+    if (packed_tab.empty()) {
+      for (size_t i = 0; i < n; ++i) {
+        if (w[i] <= 0.0) continue;
+        for (size_t d = 0; d < ndims; ++d) in[d] = cols[d][i];
+        roll.RollCell(in.data(), cell.data());
+        auto it = groups.find(cell);
+        if (it != groups.end()) {
+          Absorb(it->second, mcols, i);
+          continue;
+        }
+        uint32_t id = PackedGroupIndex::kEmpty;
+        Absorb(id, mcols, i);
+        groups.emplace(cell, id);
+      }
+      return;
+    }
+    // One gather + OR per (lane, dimension) builds every lane's key; lanes
+    // with a coordinate the tables do not cover are rolled by RollCell.
+    std::fill_n(keys.begin(), n, uint64_t{0});
+    std::fill_n(slow.begin(), n, uint8_t{0});
+    for (size_t d = 0; d < ndims; ++d) {
+      const ValueId* c = cols[d];
+      const uint64_t* pt = packed_tab[d].data();
+      const size_t sz = packed_tab[d].size();
+      for (size_t i = 0; i < n; ++i) {
+        if (c[i] < sz) {
+          keys[i] |= pt[c[i]];
+        } else {
+          slow[i] = 1;
+        }
+      }
+    }
+    const vm::RollupProgram& rp = *roll.tables();
+    for (size_t i = 0; i < n; ++i) {
+      if (w[i] <= 0.0) continue;
+      uint64_t key = keys[i];
+      if (slow[i]) {
+        for (size_t d = 0; d < ndims; ++d) in[d] = cols[d][i];
+        roll.RollCell(in.data(), cell.data());
+        key = 0;
+        for (size_t d = 0; d < ndims; ++d) {
+          key |= static_cast<uint64_t>(cell[d]) << shifts[d];
+        }
+      }
+      uint32_t& slot = packed.Slot(key);
+      if (slot == PackedGroupIndex::kEmpty && !slow[i]) {
+        for (size_t d = 0; d < ndims; ++d) {
+          const ValueId v = cols[d][i];
+          const ValueId r = rp.TableAt(d, v);
+          cell[d] = r == vm::RollupProgram::kNotBelow ? v : r;
+        }
+      }
+      Absorb(slot, mcols, i);
+    }
+  }
+};
+
+AvailabilityFold::AvailabilityFold(
+    const std::string& fact_type,
+    const std::vector<std::shared_ptr<Dimension>>& dims,
+    const std::vector<MeasureType>& measures,
+    const std::vector<CategoryId>& target,
+    std::shared_ptr<const vm::RollupProgram> rollup)
+    : impl_(std::make_unique<Impl>(fact_type, dims, measures, target,
+                                   std::move(rollup))) {}
+
+AvailabilityFold::~AvailabilityFold() = default;
+
+void AvailabilityFold::Fold(const ValueId* const* cols,
+                            const int64_t* const* meas, size_t n,
+                            const double* w) {
+  impl_->Fold(cols, meas, n, w);
+}
+
+MultidimensionalObject AvailabilityFold::Take() { return std::move(impl_->out); }
+
 Result<MultidimensionalObject> AggregateFromScan(
     const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
@@ -589,159 +797,25 @@ Result<MultidimensionalObject> AggregateFromScan(
   for (const exec::Shard& u : plan.units) facts_in += u.end - u.begin;
   span.AddField("facts_in", static_cast<int64_t>(facts_in));
 
-  // Phase 1 — identical to SelectFromScan: shard-parallel weights indexed by
-  // logical row id (rows in pruned segments keep weight 0). The packed fold
-  // below fuses this into its single pass instead (chunk weights never leave
-  // the batch), so the table fill is deferred until the two-phase path is
-  // actually taken.
+  // One serial ascending pass — the two passes SelectFromScan +
+  // AggregateFormation would have made, collapsed: each chunk is weighed in
+  // place (its weights never round-trip through a table-sized vector, and
+  // each column is decoded exactly once per query), then its survivors fold
+  // straight into their groups. Rows in pruned segments are never visited;
+  // they would have weighed 0.
   vm::CompiledScan cs(compiled, [&](const ValueId* c) {
     return EvalQueryPredOnCoords(pred, dims, c, now_day, approach);
   });
-
-  // Phase 2 — the serial ascending pass SelectFromScan + AggregateFormation
-  // would have made twice, collapsed into one: each surviving row's cell is
-  // rolled up (tables, else the walk) and folded into its group directly.
-  const size_t ndims = dims.size();
-  const size_t nmeas = measures.size();
-  MultidimensionalObject out(fact_type, dims, measures);
-  const vm::RollupProgram* rp = rollup.get();
-  std::vector<ValueId> in(ndims);
-  std::vector<ValueId> cell(ndims);
-  std::vector<int64_t> meas(nmeas);
-  // Rolls the already-gathered `in` row up into `cell` (tables, else the
-  // walk) — shared by both fold shapes below.
-  auto roll_cell = [&]() {
-    if (rp != nullptr && rp->Map(in.data(), cell.data())) {
-      for (size_t d = 0; d < ndims; ++d) {
-        if (cell[d] == vm::RollupProgram::kNotBelow) {
-          cell[d] = in[d];  // availability: finest available level
-        }
-      }
-    } else {
-      if (rp != nullptr) vm::CountFallback();
-      for (size_t d = 0; d < ndims; ++d) {
-        const Dimension& dim = *dims[d];
-        CategoryId cf = dim.value_category(in[d]);
-        if (dim.type().Leq(cf, target[d])) {
-          cell[d] = dim.Rollup(in[d], target[d]);
-          DWRED_CHECK(cell[d] != kInvalidValue);
-        } else {
-          cell[d] = in[d];  // availability: finest available level
-        }
-      }
-    }
-  };
-  std::optional<std::vector<int>> shifts = PackedCellShifts(dims);
-  if (shifts && rp != nullptr) {
-    // Vectorized single-pass fold: the chunk is weighed in place (the
-    // weights never round-trip through the table-sized vector, and each
-    // column is decoded exactly once per query), then each dimension's
-    // rollup table — pre-combined with the availability fixup and
-    // pre-shifted into its packed cell-key bit field — turns key
-    // computation into one gather + OR per (row, dimension), and the group
-    // probe hashes one integer instead of a heap vector. Row order and
-    // per-row weights are unchanged, so output bytes are identical to the
-    // two-phase path below.
-    std::vector<std::vector<uint64_t>> packed_tab(ndims);
-    std::vector<std::vector<ValueId>> rolled_tab(ndims);
-    for (size_t d = 0; d < ndims; ++d) {
-      const size_t sz = rp->TableSize(d);
-      packed_tab[d].resize(sz);
-      rolled_tab[d].resize(sz);
-      for (ValueId v = 0; v < sz; ++v) {
-        const ValueId tv = rp->TableAt(d, v);
-        // availability: finest available level
-        const ValueId r = tv == vm::RollupProgram::kNotBelow ? v : tv;
-        rolled_tab[d][v] = r;
-        packed_tab[d][v] = static_cast<uint64_t>(r) << (*shifts)[d];
-      }
-    }
-    PackedGroupIndex packed;
-    std::vector<uint64_t> keys(FactTable::kBatchRows);
-    std::vector<uint8_t> slow(FactTable::kBatchRows);
-    std::vector<double> wbuf(FactTable::kBatchRows);
-    vm::PredProgram::BatchScratch scratch;
-    for (const exec::Shard& u : plan.units) {
-      t.ForEachBatch(u.begin, u.end, [&](const FactTable::BatchView& b) {
-        const size_t n = b.rows();
-        cs.WeighBatch(b, wbuf.data(), &scratch);
-        std::fill_n(keys.begin(), n, uint64_t{0});
-        std::fill_n(slow.begin(), n, uint8_t{0});
-        for (size_t d = 0; d < ndims; ++d) {
-          const ValueId* c = b.dim_col(d);
-          const uint64_t* pt = packed_tab[d].data();
-          const size_t sz = packed_tab[d].size();
-          for (size_t i = 0; i < n; ++i) {
-            if (c[i] < sz) {
-              keys[i] |= pt[c[i]];
-            } else {
-              slow[i] = 1;  // interned after compilation: walk the row
-            }
-          }
-        }
-        for (size_t i = 0; i < n; ++i) {
-          if (wbuf[i] <= 0.0) continue;
-          uint64_t key = keys[i];
-          if (slow[i]) {
-            for (size_t d = 0; d < ndims; ++d) in[d] = b.dim_col(d)[i];
-            roll_cell();
-            key = 0;
-            for (size_t d = 0; d < ndims; ++d) {
-              key |= static_cast<uint64_t>(cell[d]) << (*shifts)[d];
-            }
-          }
-          uint32_t& slot = packed.Slot(key);
-          if (slot == PackedGroupIndex::kEmpty) {
-            if (!slow[i]) {
-              for (size_t d = 0; d < ndims; ++d) {
-                cell[d] = rolled_tab[d][b.dim_col(d)[i]];
-              }
-            }
-            for (size_t m = 0; m < nmeas; ++m) meas[m] = b.meas_col(m)[i];
-            slot = static_cast<uint32_t>(out.AppendFactUnchecked(cell, meas));
-          } else {
-            std::span<int64_t> acc = out.MutableFactMeasures(slot);
-            for (size_t m = 0; m < nmeas; ++m) {
-              acc[m] = CombineMeasure(measures[m].agg, acc[m], b.meas_col(m)[i]);
-            }
-          }
-        }
-      });
-    }
-    return out;
-  }
-  // Two-phase fold (no rollup tables, or cell keys too wide to pack): late
-  // materialization as in SelectFromScan — survivor-free chunks are skipped
-  // before any column is decoded — then a vector-keyed group map.
-  std::vector<double> weights;
-  cs.WeighTable(t, plan, &weights);
-  std::unordered_map<std::vector<ValueId>, FactId, CellKeyHash> groups;
+  AvailabilityFold fold(fact_type, dims, measures, target, rollup);
+  std::vector<double> w(FactTable::kBatchRows);
+  vm::PredProgram::BatchScratch scratch;
   for (const exec::Shard& u : plan.units) {
-    t.ForEachBatch(
-        u.begin, u.end,
-        [&](const FactTable::BatchView& b) {
-          const RowId first = b.first_row();
-          for (size_t i = 0; i < b.rows(); ++i) {
-            if (weights[first + i] <= 0.0) continue;
-            for (size_t d = 0; d < ndims; ++d) in[d] = b.dim_col(d)[i];
-            for (size_t m = 0; m < nmeas; ++m) meas[m] = b.meas_col(m)[i];
-            roll_cell();
-            auto it = groups.find(cell);
-            if (it == groups.end()) {
-              // Rolled-up coordinates are interned values of these same
-              // dimensions, so the group cells append unchecked.
-              groups.emplace(cell, out.AppendFactUnchecked(cell, meas));
-            } else {
-              std::span<int64_t> acc = out.MutableFactMeasures(it->second);
-              for (size_t m = 0; m < nmeas; ++m) {
-                acc[m] = CombineMeasure(measures[m].agg, acc[m], meas[m]);
-              }
-            }
-          }
-        },
-        [&](RowId first, size_t n) { return NoSurvivors(weights, first, n); });
+    t.ForEachBatch(u.begin, u.end, [&](const FactTable::BatchView& b) {
+      cs.WeighBatch(b, w.data(), &scratch);
+      fold.Fold(b.dim_cols(), b.meas_cols(), b.rows(), w.data());
+    });
   }
-  return out;
+  return fold.Take();
 }
 
 }  // namespace dwred

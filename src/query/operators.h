@@ -92,10 +92,77 @@ Result<MultidimensionalObject> AggregateFormation(
     bool track_provenance = true,
     const std::shared_ptr<const vm::RollupProgram>& rollup = nullptr);
 
+/// α's availability rule (Section 6.3) applied to column batches: a
+/// coordinate whose category sits at or below target[d] rolls up to its
+/// ancestor there; any other coordinate stays as it is (the finest available
+/// level at or above the target). `tables` (a vm::RollupProgram compiled for
+/// `target`; may be null) replaces the Leq/Rollup walk with one lookup per
+/// coordinate. A row with a coordinate the tables do not cover (interned
+/// after compilation; counted in dwred_vm_fallbacks), or every row when no
+/// tables compiled, walks the hierarchy instead — with identical results.
+class AvailabilityRollup {
+ public:
+  AvailabilityRollup(std::vector<std::shared_ptr<Dimension>> dims,
+                     std::vector<CategoryId> target,
+                     std::shared_ptr<const vm::RollupProgram> tables);
+
+  /// Rolls lane i < n of `cols` (cols[d][i]: dimension d) into out[d][i].
+  void RollColumns(const ValueId* const* cols, size_t n,
+                   ValueId* const* out) const;
+  /// Rolls one cell (one coordinate per dimension) into `out`.
+  void RollCell(const ValueId* in, ValueId* out) const;
+
+  const vm::RollupProgram* tables() const { return tables_.get(); }
+
+ private:
+  /// The walk the tables replace, for one coordinate.
+  ValueId Walk(size_t d, ValueId v) const;
+
+  std::vector<std::shared_ptr<Dimension>> dims_;
+  std::vector<CategoryId> target_;
+  std::shared_ptr<const vm::RollupProgram> tables_;
+};
+
+/// The α[target] fold of the fused query operators (AggregateFromScan and
+/// the stale subcube evaluation, docs/COMPILATION.md): lanes of column
+/// batches whose weight is > 0 roll up to `target` under the availability
+/// approach and fold into their output group in arrival order. Groups appear
+/// in first-occurrence order and measures combine with CombineMeasure, so
+/// the result is byte-identical to
+///   AggregateFormation(<the folded lanes as an MO>, target, kAvailability,
+///                      /*track_provenance=*/false, rollup).
+/// With rollup tables and cell keys that fit 64 bits, each dimension's table
+/// is pre-shifted into its packed key field, so a lane's group key is one
+/// gather + OR per dimension and the group probe hashes one integer;
+/// otherwise groups key on the rolled cell vector.
+class AvailabilityFold {
+ public:
+  AvailabilityFold(const std::string& fact_type,
+                   const std::vector<std::shared_ptr<Dimension>>& dims,
+                   const std::vector<MeasureType>& measures,
+                   const std::vector<CategoryId>& target,
+                   std::shared_ptr<const vm::RollupProgram> rollup);
+  ~AvailabilityFold();
+  AvailabilityFold(const AvailabilityFold&) = delete;
+  AvailabilityFold& operator=(const AvailabilityFold&) = delete;
+
+  /// Folds every lane i < n with w[i] > 0: cols[d][i] and meas[m][i] are the
+  /// lane's coordinates and measures.
+  void Fold(const ValueId* const* cols, const int64_t* const* meas, size_t n,
+            const double* w);
+
+  /// The folded groups. The fold is spent afterwards.
+  MultidimensionalObject Take();
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
 /// The fully fused σ→α of the compiled query path: selection weights are
 /// computed over the plan's rows and each surviving row's rolled-up cell is
-/// folded straight into its output group, skipping the intermediate
-/// selection MO entirely. Byte-identical to
+/// folded straight into its output group (AvailabilityFold), skipping the
+/// intermediate selection MO entirely. Byte-identical to
 ///   AggregateFormation(SelectFromScan(t, plan, pred, now_day, approach,
 ///                      ..., compiled, /*materialize_names=*/false).mo,
 ///                      target, kAvailability, /*track_provenance=*/false,

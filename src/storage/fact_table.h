@@ -238,6 +238,8 @@ class FactTable {
     /// All dimension columns at once — the shape vm::PredProgram::EvalBatch
     /// consumes.
     const ValueId* const* dim_cols() const { return dims_.data(); }
+    /// All measure columns at once (empty under ForEachDimBatch).
+    const int64_t* const* meas_cols() const { return meas_.data(); }
 
    private:
     friend class FactTable;

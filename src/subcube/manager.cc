@@ -4,6 +4,7 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "exec/thread_pool.h"
@@ -174,21 +175,6 @@ Status SubcubeManager::InsertBottomFacts(const MultidimensionalObject& batch) {
   return Status::OK();
 }
 
-namespace {
-
-/// The granularity implied by a cell's value categories.
-std::vector<CategoryId> CellGranularity(
-    const std::vector<std::shared_ptr<Dimension>>& dims,
-    std::span<const ValueId> cell) {
-  std::vector<CategoryId> g(dims.size());
-  for (size_t d = 0; d < dims.size(); ++d) {
-    g[d] = dims[d]->value_category(cell[d]);
-  }
-  return g;
-}
-
-}  // namespace
-
 Result<size_t> SubcubeManager::ResponsibleCube(std::span<const ValueId> cell,
                                                int64_t now_day) const {
   return ResponsibleCubeWith(cell, now_day, nullptr);
@@ -217,10 +203,21 @@ SubcubeManager::SpecPrograms SubcubeManager::CompileSpecPrograms(
 }
 
 Result<size_t> SubcubeManager::ResponsibleCubeWith(
-    std::span<const ValueId> cell, int64_t now_day, const SpecPrograms* progs,
-    const double* action_w) const {
-  std::vector<CategoryId> cell_gran = CellGranularity(dims_, cell);
-  const std::vector<CategoryId>* action_gran = nullptr;
+    std::span<const ValueId> cell, int64_t now_day,
+    const SpecPrograms* progs) const {
+  std::vector<uint32_t> key;
+  RouteKey(cell, now_day, progs, /*action_w=*/nullptr, &key);
+  return Route(key);
+}
+
+void SubcubeManager::RouteKey(std::span<const ValueId> cell, int64_t now_day,
+                              const SpecPrograms* progs,
+                              const double* action_w,
+                              std::vector<uint32_t>* key) const {
+  key->clear();
+  for (size_t d = 0; d < dims_.size(); ++d) {
+    key->push_back(dims_[d]->value_category(cell[d]));
+  }
   for (ActionId a = 0; a < spec_.size(); ++a) {
     const Action& act = spec_.action(a);
     bool satisfied;
@@ -240,6 +237,16 @@ Result<size_t> SubcubeManager::ResponsibleCubeWith(
       satisfied = EvalPredOnCell(*act.predicate, ctx_, cell, now_day);
     }
     if (!satisfied) continue;
+    key->push_back(a);
+    if (act.deletes) return;  // decides the row alone (see Route)
+  }
+}
+
+Result<size_t> SubcubeManager::Route(std::span<const uint32_t> key) const {
+  const std::span<const CategoryId> cell_gran = key.first(dims_.size());
+  const std::vector<CategoryId>* action_gran = nullptr;
+  for (const ActionId a : key.subspan(dims_.size())) {
+    const Action& act = spec_.action(a);
     if (act.deletes) return kDeletedCell;
     if (action_gran) {
       if (GranularityLeq(ctx_, act.granularity, *action_gran)) continue;
@@ -254,7 +261,7 @@ Result<size_t> SubcubeManager::ResponsibleCubeWith(
   // Per-dimension LUB with the cell's own granularity — ⊤-mapped
   // coordinates ("unknown value") stay at ⊤ while the other dimensions
   // follow the responsible action.
-  std::vector<CategoryId> best = cell_gran;
+  std::vector<CategoryId> best(cell_gran.begin(), cell_gran.end());
   if (action_gran) {
     for (size_t d = 0; d < best.size(); ++d) {
       best[d] = dims_[d]->type().Lub(cell_gran[d], (*action_gran)[d]);
@@ -339,7 +346,8 @@ Status SubcubeManager::RestoreRow(size_t cube, std::span<const ValueId> cell,
 Result<std::vector<std::vector<size_t>>> SubcubeManager::PlanSynchronize(
     int64_t now_day) const {
   std::shared_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
-  auto plans = PlanSynchronizeLocked(now_day, /*roll=*/false, nullptr);
+  auto plans = PlanSynchronizeLocked(now_day, /*roll=*/false, nullptr,
+                                     "cancel.sync.plan");
   if (!plans.ok()) return runtime::CountAbort(plans.status());
   std::vector<std::vector<size_t>> targets;
   targets.reserve(plans.value().size());
@@ -351,11 +359,16 @@ Result<std::vector<std::vector<size_t>>> SubcubeManager::PlanSynchronize(
 
 Result<std::vector<SubcubeManager::CubeSyncPlan>>
 SubcubeManager::PlanSynchronizeLocked(int64_t now_day, bool roll,
-                                      obs::OpProfile* profile) const {
+                                      obs::OpProfile* profile,
+                                      const char* poll_site) const {
   // Per-action predicate programs (src/vm), compiled once for the whole
   // pass and shared read-only by every plan shard; null slots interpret.
   const SpecPrograms progs = CompileSpecPrograms(now_day);
-  if (profile != nullptr) profile->compiled = !progs.empty();
+  if (profile != nullptr) {
+    profile->compiled =
+        std::any_of(progs.begin(), progs.end(),
+                    [](const auto& prog) { return prog != nullptr; });
+  }
   const size_t ndims = dims_.size();
   const size_t nact = progs.size();
   constexpr size_t kLanes = FactTable::kBatchRows;
@@ -367,8 +380,10 @@ SubcubeManager::PlanSynchronizeLocked(int64_t now_day, bool roll,
   // cube's storage segments (the natural shard unit, docs/STORAGE.md),
   // read-only. Synchronization must examine *every* row, so the scan plan is
   // unpruned. Every compiled action predicate runs chunk-at-a-time over the
-  // segment columns; the per-row LUB walk then consumes the precomputed
-  // lanes. The result is identical at every thread count.
+  // segment columns; each row's routing key (category tuple + satisfied
+  // actions) then reads the precomputed lanes, and the LUB walk runs once
+  // per distinct key per shard (Route is a pure function of the key). The
+  // result is identical at every thread count.
   std::vector<CubeSyncPlan> plans(cubes_.size());
   for (size_t i = 0; i < cubes_.size(); ++i) {
     CubeSyncPlan& plan = plans[i];
@@ -385,12 +400,14 @@ SubcubeManager::PlanSynchronizeLocked(int64_t now_day, bool roll,
       // read-only: cancelling any plan shard abandons the whole pass with
       // nothing mutated.
       Status& err = shard_error[si];
-      err = runtime::PollCancel("cancel.sync.plan");
+      err = runtime::PollCancel(poll_site);
       if (!err.ok()) return;
       vm::PredProgram::BatchScratch scratch;
       std::vector<double> lanes(nact * kLanes);
       std::vector<double> row_w(nact);
       std::vector<ValueId> row_cell(ndims);
+      std::vector<uint32_t> key;
+      std::unordered_map<std::vector<uint32_t>, size_t, CellKeyHash> memo;
       cube.table.ForEachDimBatch(
           begin, end, [&](const FactTable::BatchView& b) {
             if (!err.ok()) return;
@@ -407,13 +424,17 @@ SubcubeManager::PlanSynchronizeLocked(int64_t now_day, bool roll,
                 row_w[a] = lanes[a * kLanes + k];
               }
               const RowId r = b.first_row() + k;
-              auto target_r =
-                  ResponsibleCubeWith(row_cell, now_day, &progs, row_w.data());
-              if (!target_r.ok()) {
-                err = target_r.status();
-                return;
+              RouteKey(row_cell, now_day, &progs, row_w.data(), &key);
+              auto hit = memo.find(key);
+              if (hit == memo.end()) {
+                auto target_r = Route(key);
+                if (!target_r.ok()) {
+                  err = target_r.status();
+                  return;
+                }
+                hit = memo.emplace(key, target_r.value()).first;
               }
-              const size_t target = target_r.value();
+              const size_t target = hit->second;
               plan.target[r] = target;
               if (!roll || target == i || target == kDeletedCell) continue;
               auto rolled_r = RollCell(row_cell, cubes_[target]->granularity);
@@ -487,7 +508,8 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   }
   DWRED_RETURN_IF_ERROR(
       abort_sync(runtime::CurrentOpContext().ChargeRows(pass_rows)));
-  auto plans_r = PlanSynchronizeLocked(now_day, /*roll=*/true, prof);
+  auto plans_r =
+      PlanSynchronizeLocked(now_day, /*roll=*/true, prof, "cancel.sync.plan");
   if (!plans_r.ok()) return abort_sync(plans_r.status());
   const std::vector<CubeSyncPlan> plans = plans_r.take();
   if (prof != nullptr) prof->AddStage("plan", stage_timer.LapMicros());
@@ -606,6 +628,84 @@ std::shared_ptr<const vm::RollupProgram> SubcubeManager::CompileRollup(
   return roll;
 }
 
+MultidimensionalObject SubcubeManager::FoldStaleCube(
+    size_t i, const StaleRoute& stale, const PredExpr* pred, int64_t now_day,
+    const std::shared_ptr<const vm::PredProgram>& prog,
+    const std::vector<CategoryId>* target,
+    const std::shared_ptr<const vm::RollupProgram>& target_rollup,
+    int64_t* rows_read) const {
+  const Subcube& cube = *cubes_[i];
+  const size_t ndims = dims_.size();
+  constexpr size_t kLanes = FactTable::kBatchRows;
+  const std::shared_ptr<const vm::RollupProgram>& cube_rollup =
+      stale.cube_rollups[i];
+  const AvailabilityRollup to_cube(dims_, cube.granularity, cube_rollup);
+  // Without a target, the groups are α[G_i]'s own cells.
+  AvailabilityFold fold(fact_type_, dims_, measures_,
+                        target != nullptr ? *target : cube.granularity,
+                        target != nullptr ? target_rollup : cube_rollup);
+  vm::CompiledScan cs(prog, [&](const ValueId* c) {
+    return EvalQueryPredOnCoords(*pred, dims_, c, now_day,
+                                 SelectionApproach::kConservative);
+  });
+  vm::PredProgram::BatchScratch scratch;
+  std::vector<ValueId> rolled(ndims * kLanes);
+  std::vector<ValueId*> rolled_out(ndims);
+  std::vector<const ValueId*> rolled_cols(ndims);
+  for (size_t d = 0; d < ndims; ++d) {
+    rolled_out[d] = rolled.data() + d * kLanes;
+    rolled_cols[d] = rolled_out[d];
+  }
+  std::vector<double> w(kLanes);
+
+  // The union K_i ∪ (every strictly-finer cube), in the order Figure 9's
+  // rewrite lists it: the cube's own rows, then each finer cube in index
+  // order. The paper pulls from immediate parents under its
+  // one-level-out-of-sync assumption (Section 7.2); pulling from every
+  // strictly-finer cube generalizes that to arbitrarily stale warehouses
+  // (facts can leapfrog a tier whose window slid past between
+  // synchronizations).
+  std::vector<size_t> sources = {i};
+  for (size_t p = 0; p < cubes_.size(); ++p) {
+    const auto& gp = cubes_[p]->granularity;
+    if (p != i && gp != cube.granularity &&
+        GranularityLeq(ctx_, gp, cube.granularity)) {
+      sources.push_back(p);
+    }
+  }
+  for (size_t p : sources) {
+    const std::vector<size_t>& routed = stale.plans[p].target;
+    cubes_[p]->table.ForEachBatch(
+        0, routed.size(),
+        [&](const FactTable::BatchView& b) {
+          const size_t n = b.rows();
+          const size_t* route = routed.data() + b.first_row();
+          *rows_read += static_cast<int64_t>(n);
+          // α[G_i] cell of every lane, then σ[P_i] (the routing) and
+          // σ[pred] on that cell: pred reads only the G_i cell, so
+          // weighing rows instead of α[G_i]'s groups keeps exactly the
+          // groups Select would keep, and the fold to the target meets
+          // them in the same first-occurrence order.
+          to_cube.RollColumns(b.dim_cols(), n, rolled_out.data());
+          if (pred != nullptr) {
+            cs.WeighColumns(rolled_cols.data(), ndims, n, w.data(), &scratch);
+          } else {
+            std::fill_n(w.begin(), n, 1.0);
+          }
+          for (size_t k = 0; k < n; ++k) {
+            if (route[k] != i) w[k] = 0.0;
+          }
+          fold.Fold(rolled_cols.data(), b.meas_cols(), n, w.data());
+        },
+        [&](RowId first, size_t n) {
+          // Chunks routing no row here are never decoded.
+          return std::find(routed.begin() + first, routed.begin() + first + n,
+                           i) == routed.begin() + first + n;
+        });
+  }
+  return fold.Take();
+}
+
 Result<std::vector<MultidimensionalObject>>
 SubcubeManager::QuerySubresultsLocked(
     const PredExpr* pred, const std::vector<CategoryId>* target,
@@ -619,9 +719,9 @@ SubcubeManager::QuerySubresultsLocked(
   // selection weight is 0 under every approach (the spec compiles against
   // the *liberal* may-match oracle, which dominates conservative and
   // weighted), so Select would drop them anyway and the query result is
-  // byte-identical. The unsynchronized path pre-aggregates ancestor rows
-  // before its Select runs — dropping rows there would change aggregated
-  // cells — so it scans everything.
+  // byte-identical. The unsynchronized path routes every row and weighs σ on
+  // each row's cell rolled up to its cube's granularity, not on the stored
+  // coordinates the zone maps summarize, so it scans everything.
   //
   // Compilation enumerates every value of each constrained dimension through
   // the liberal oracle — linear in dimension extent — so compiled specs are
@@ -666,18 +766,35 @@ SubcubeManager::QuerySubresultsLocked(
   // by every per-cube aggregate formation (Query also reuses them for the
   // final combining aggregation).
   if (target != nullptr && rollup == nullptr) rollup = CompileRollup(*target);
-  // The unsynchronized rewrite filters every unioned row through the
-  // specification's action predicates — compile those once per query too.
-  SpecPrograms resp_progs;
-  if (!assume_synchronized) resp_progs = CompileSpecPrograms(now_day);
-  if (profile != nullptr) {
-    profile->compiled = prog != nullptr || !resp_progs.empty();
-  }
 
+  // The unsynchronized state is evaluated as a read-only *virtual
+  // synchronize*: every stored row is routed once, through the planner
+  // Synchronize applies, and each cube then folds the rows routed to it
+  // (FoldStaleCube). Routing reads every row, so the whole query is charged
+  // against the row budget once, up front: an over-budget query never
+  // routes.
+  StaleRoute stale;
+  int64_t routed_rows = 0;
+  if (!assume_synchronized) {
+    for (const auto& c : cubes_) {
+      routed_rows += static_cast<int64_t>(c->table.num_rows());
+    }
+    DWRED_RETURN_IF_ERROR(runtime::CurrentOpContext().ChargeRows(routed_rows));
+    DWRED_ASSIGN_OR_RETURN(
+        stale.plans, PlanSynchronizeLocked(now_day, /*roll=*/false, nullptr,
+                                           "cancel.query.route"));
+    for (const auto& c : cubes_) {
+      stale.cube_rollups.push_back(CompileRollup(c->granularity));
+    }
+  }
   if (profile != nullptr) {
+    // The query's own selection program; the routing pass's action programs
+    // are the synchronize plan's business.
+    profile->compiled = prog != nullptr;
     profile->AddStage("plan", stage_timer.LapMicros());
     profile->fan_out = static_cast<int64_t>(cubes_.size());
     profile->subcubes.assign(cubes_.size(), obs::SubcubeProfile{});
+    if (!assume_synchronized) profile->AddCounter("rows_routed", routed_rows);
   }
   // Per-cube stage sums, folded into the profile serially after the fan-out
   // (each cube writes only its own slot — no atomics, deterministic).
@@ -686,15 +803,19 @@ SubcubeManager::QuerySubresultsLocked(
 
   // One evaluation per subcube; in parallel mode the evaluations fan out
   // over the process-wide pool (only shared *reads*: dimensions, spec,
-  // sibling tables, the compiled scan spec).
+  // sibling tables, the compiled scan spec, the routing plan).
   auto eval_one = [&](size_t i) -> Result<MultidimensionalObject> {
     // Cooperative abort point, polled once per subcube before its rows are
-    // touched; the cube's full row count is charged against the query's row
-    // budget up front so an over-budget fan-out stops at subcube granularity.
-    // Evaluation is read-only, so aborting here leaves no state behind.
+    // touched. On the synchronized path the cube's full row count is charged
+    // against the query's row budget up front so an over-budget fan-out
+    // stops at subcube granularity (a stale query charged every row before
+    // routing). Evaluation is read-only, so aborting here leaves no state
+    // behind.
     DWRED_RETURN_IF_ERROR(runtime::PollCancel("cancel.query.subcube"));
-    DWRED_RETURN_IF_ERROR(runtime::CurrentOpContext().ChargeRows(
-        static_cast<int64_t>(cubes_[i]->table.num_rows())));
+    if (assume_synchronized) {
+      DWRED_RETURN_IF_ERROR(runtime::CurrentOpContext().ChargeRows(
+          static_cast<int64_t>(cubes_[i]->table.num_rows())));
+    }
     static obs::Histogram& subquery_latency =
         obs::MetricsRegistry::Global().GetHistogram(
             "dwred_subcube_subquery_seconds", obs::DefaultLatencyBuckets(),
@@ -709,12 +830,13 @@ SubcubeManager::QuerySubresultsLocked(
     obs::SubcubeProfile* sc =
         profile != nullptr ? &profile->subcubes[i] : nullptr;
 
-    // Two evaluation shapes. Pruned (synchronized, with a predicate): the
-    // fused operators read the storage segments directly — σ→α folded
-    // straight into output groups when there is a target, σ alone
-    // otherwise — with no intermediate MO (operators.h: AggregateFromScan,
-    // SelectFromScan). Unpruned or stale: the cube's rows as an MO, then
-    // Figure 9's rewrite when stale, σ, and α.
+    // Three evaluation shapes, the first two fused: they read the storage
+    // segments directly with no intermediate MO. Pruned (synchronized, with
+    // a predicate): σ→α folded straight into output groups when there is a
+    // target, σ alone otherwise (operators.h: AggregateFromScan,
+    // SelectFromScan). Stale: the cube's routed rows folded by
+    // FoldStaleCube. Synchronized without a predicate: the cube's rows as
+    // an MO, then α.
     MultidimensionalObject base(fact_type_, dims_, measures_);
     if (prune) {
       scan::ScanPlan plan = scan::PlanTableScan(cube.table, scan_spec);
@@ -742,9 +864,14 @@ SubcubeManager::QuerySubresultsLocked(
                            dims_, measures_, prog));
         base = std::move(sel.mo);
       }
+    } else if (!assume_synchronized) {
+      int64_t rows_read = 0;
+      base = FoldStaleCube(i, stale, pred, now_day, prog, target, rollup,
+                           &rows_read);
+      if (sc != nullptr) sc->rows_scanned = rows_read;
     } else {
-      // Unpruned path: no scan plan, hence no counter movement to attribute;
-      // only the rows read are reported.
+      // No scan plan, hence no counter movement to attribute; only the rows
+      // read are reported.
       if (sc != nullptr) {
         sc->rows_scanned = static_cast<int64_t>(cube.table.num_rows());
       }
@@ -754,72 +881,7 @@ SubcubeManager::QuerySubresultsLocked(
       sc->name = cube.name;
       scan_us[i] = cube_timer.LapMicros();
     }
-    if (!assume_synchronized) {
-      // Figure 9: evaluate on α[G_i]σ[P_i](K_i ∪ parents) — pull un-migrated
-      // facts from ancestor cubes, keep only the facts this cube is
-      // currently responsible for, pre-aggregate to the cube's granularity.
-      // The paper pulls from immediate parents under its
-      // one-level-out-of-sync assumption (Section 7.2); pulling from every
-      // strictly-lower cube generalizes that to arbitrarily stale
-      // warehouses (facts can leapfrog a tier whose window slid past
-      // between synchronizations).
-      const size_t ndims = dims_.size();
-      std::vector<ValueId> cell(ndims);
-      std::vector<size_t> ancestors;
-      for (size_t p = 0; p < cubes_.size(); ++p) {
-        if (p == i) continue;
-        const auto& gp = cubes_[p]->granularity;
-        if (GranularityLeq(ctx_, gp, cube.granularity) &&
-            gp != cube.granularity) {
-          ancestors.push_back(p);
-        }
-      }
-      MultidimensionalObject unioned(fact_type_, dims_, measures_);
-      unioned = std::move(base);
-      for (size_t p : ancestors) {
-        MultidimensionalObject pm =
-            cubes_[p]->table.ToMO(fact_type_, dims_, measures_);
-        for (FactId f = 0; f < pm.num_facts(); ++f) {
-          for (size_t d = 0; d < ndims; ++d) {
-            cell[d] = pm.Coord(f, static_cast<DimensionId>(d));
-          }
-          std::vector<int64_t> meas(measures_.size());
-          for (size_t m = 0; m < measures_.size(); ++m) {
-            meas[m] = pm.Measure(f, static_cast<MeasureId>(m));
-          }
-          auto res = unioned.AddFact(cell, meas);
-          if (!res.ok()) return res.status();
-        }
-      }
-      // σ[P_i]: current responsibility filter.
-      MultidimensionalObject filtered(fact_type_, dims_, measures_);
-      for (FactId f = 0; f < unioned.num_facts(); ++f) {
-        for (size_t d = 0; d < ndims; ++d) {
-          cell[d] = unioned.Coord(f, static_cast<DimensionId>(d));
-        }
-        DWRED_ASSIGN_OR_RETURN(
-            size_t resp, ResponsibleCubeWith(cell, now_day, &resp_progs));
-        if (resp != i) continue;
-        std::vector<int64_t> meas(measures_.size());
-        for (size_t m = 0; m < measures_.size(); ++m) {
-          meas[m] = unioned.Measure(f, static_cast<MeasureId>(m));
-        }
-        auto res = filtered.AddFact(cell, meas);
-        if (!res.ok()) return res.status();
-      }
-      // α[G_i].
-      DWRED_ASSIGN_OR_RETURN(
-          base, AggregateFormation(filtered, cube.granularity,
-                                   AggregationApproach::kAvailability,
-                                   /*track_provenance=*/false));
-    }
-    if (pred != nullptr && !prune) {
-      DWRED_ASSIGN_OR_RETURN(
-          SelectionResult sel,
-          Select(base, *pred, now_day, SelectionApproach::kConservative, prog));
-      base = std::move(sel.mo);
-    }
-    if (target != nullptr && !prune) {
+    if (assume_synchronized && !prune && target != nullptr) {
       DWRED_ASSIGN_OR_RETURN(
           base, AggregateFormation(base, *target,
                                    AggregationApproach::kAvailability,

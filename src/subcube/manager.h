@@ -19,9 +19,9 @@
 // subresults combined with one final availability-approach aggregation —
 // sound because default aggregate functions are distributive. In the
 // un-synchronized state, each subcube's subquery is evaluated on
-// α[G_i]σ[P_i](K_i ∪ parents): the cube's own rows plus its immediate
-// parents' rows, filtered to the facts the cube is *currently* responsible
-// for, aggregated to the cube's granularity.
+// α[G_i]σ[P_i](K_i ∪ parents): the cube's own rows plus the rows of every
+// strictly-finer cube, filtered to the facts the cube is *currently*
+// responsible for, aggregated to the cube's granularity.
 
 #include <memory>
 #include <string>
@@ -40,7 +40,10 @@ struct Subcube {
   std::vector<CategoryId> granularity;   ///< fixed granularity of the cube
   std::vector<ActionId> actions;         ///< disjoint actions grouped here
   FactTable table;
-  std::vector<size_t> parents;           ///< immediate parents (data sources)
+  /// Immediate parents: the transitive reduction of the strictly-finer
+  /// cubes (an unsynchronized query pulls from all of those, not only from
+  /// these).
+  std::vector<size_t> parents;
 
   Subcube(size_t ndims, size_t nmeas) : table(ndims, nmeas) {}
 };
@@ -134,8 +137,11 @@ class SubcubeManager {
   /// combining per-cube subresults with a final availability aggregation.
   /// `pred` may be null (no selection); `target` may be null (no aggregate
   /// formation). With `assume_synchronized` the per-cube rewrite of Figure 9
-  /// (pull un-migrated rows from immediate parents, filter by current
-  /// responsibility, pre-aggregate to the cube's granularity) is skipped.
+  /// (pull un-migrated rows from every strictly-finer cube, filter by current
+  /// responsibility, pre-aggregate to the cube's granularity) is skipped;
+  /// without it the rewrite runs as a read-only virtual synchronize: every
+  /// stored row is routed once, through the plan Synchronize would apply,
+  /// and each cube folds the rows routed to it straight from the segments.
   /// With `parallel`, subcubes are evaluated on one thread each — Section
   /// 7.3's "separately and in parallel"; sound because per-cube evaluation
   /// only reads shared state and the final combine is a single-threaded
@@ -193,16 +199,28 @@ class SubcubeManager {
   Result<std::vector<ValueId>> RollCell(std::span<const ValueId> cell,
                                         const std::vector<CategoryId>& gran) const;
 
-  /// ResponsibleCube body; `progs` (when non-null and non-empty) supplies
-  /// compiled per-action predicate programs, byte-identical to interpreting.
-  /// `action_w` (when non-null) carries this cell's batch-precomputed weight
-  /// per action (vm::PredProgram::EvalBatch over a column chunk); a lane at
-  /// kOutOfRange — or an action with no program — falls back to the same
-  /// per-row evaluation the non-batch path uses.
+  /// ResponsibleCube body: Route(RouteKey(...)). `progs` (when non-null and
+  /// non-empty) supplies compiled per-action predicate programs,
+  /// byte-identical to interpreting.
   Result<size_t> ResponsibleCubeWith(std::span<const ValueId> cell,
                                      int64_t now_day,
-                                     const SpecPrograms* progs,
-                                     const double* action_w = nullptr) const;
+                                     const SpecPrograms* progs) const;
+
+  /// A cell's routing key: its category tuple (one CategoryId per
+  /// dimension) followed by the actions it satisfies, in action order,
+  /// ending at the first satisfied deletion action (which decides the cell
+  /// alone). `progs` as for ResponsibleCubeWith. `action_w` (when non-null)
+  /// carries this cell's batch-precomputed weight per action
+  /// (vm::PredProgram::EvalBatch over a column chunk); a lane at
+  /// kOutOfRange — or an action with no program — falls back to the same
+  /// per-row evaluation the non-batch path uses.
+  void RouteKey(std::span<const ValueId> cell, int64_t now_day,
+                const SpecPrograms* progs, const double* action_w,
+                std::vector<uint32_t>* key) const;
+
+  /// The responsible cube of every cell with routing key `key` — a pure
+  /// function of the key, so the synchronize planner memoizes it per shard.
+  Result<size_t> Route(std::span<const uint32_t> key) const;
 
   /// The rollup tables for one target granularity, compiled once and cached
   /// per (granularity, epoch) in the program LRU. Null when a dimension is
@@ -219,11 +237,39 @@ class SubcubeManager {
   };
 
   /// PlanSynchronize body; the caller must hold the snapshot lock (shared or
-  /// exclusive). Fills `rolled` only when `roll` is set. A non-null
-  /// `profile` receives the compiled flag and the rows and segments
-  /// examined.
+  /// exclusive). Fills `rolled` only when `roll` is set. Polls `poll_site`
+  /// once per plan shard ("cancel.sync.plan" for Synchronize,
+  /// "cancel.query.route" when a stale query routes). A non-null `profile`
+  /// receives the compiled flag (any action compiled) and the rows and
+  /// segments examined.
   Result<std::vector<CubeSyncPlan>> PlanSynchronizeLocked(
-      int64_t now_day, bool roll, obs::OpProfile* profile) const;
+      int64_t now_day, bool roll, obs::OpProfile* profile,
+      const char* poll_site) const;
+
+  /// A stale query's routing: PlanSynchronizeLocked's per-row targets of
+  /// every cube, and each cube's own rollup tables (null when a dimension is
+  /// too large to enumerate).
+  struct StaleRoute {
+    std::vector<CubeSyncPlan> plans;
+    std::vector<std::shared_ptr<const vm::RollupProgram>> cube_rollups;
+  };
+
+  /// Cube i's subquery in the unsynchronized state — Figure 9's
+  /// α[G_i]σ[P_i](K_i ∪ every strictly-finer cube), then σ[pred] and
+  /// α[target] — folded straight from the segments. Each source cube's
+  /// chunks that route no row to cube i are skipped undecoded; every routed
+  /// row rolls up to G_i (availability), is weighed by `pred` on that cell,
+  /// and folds into its target group (AvailabilityFold; α[G_i]'s cells when
+  /// `target` is null). Byte-identical to materializing the union,
+  /// filtering, and running AggregateFormation, Select and
+  /// AggregateFormation, because rows arrive in the same union order.
+  /// `rows_read` receives the rows of the decoded chunks.
+  MultidimensionalObject FoldStaleCube(
+      size_t i, const StaleRoute& stale, const PredExpr* pred,
+      int64_t now_day, const std::shared_ptr<const vm::PredProgram>& prog,
+      const std::vector<CategoryId>* target,
+      const std::shared_ptr<const vm::RollupProgram>& target_rollup,
+      int64_t* rows_read) const;
 
   /// QuerySubresults body; the caller must hold the shared snapshot lock
   /// (the lock is not recursive, so Query cannot call the public wrapper).

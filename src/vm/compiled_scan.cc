@@ -7,31 +7,30 @@ namespace dwred::vm {
 namespace {
 
 /// Gathers lane `i`'s full cell from the batch columns.
-inline void GatherCell(const FactTable::BatchView& b, size_t ndims, size_t i,
+inline void GatherCell(const ValueId* const* cols, size_t ndims, size_t i,
                        ValueId* cell) {
-  for (size_t d = 0; d < ndims; ++d) cell[d] = b.dim_col(d)[i];
+  for (size_t d = 0; d < ndims; ++d) cell[d] = cols[d][i];
 }
 
 }  // namespace
 
-void CompiledScan::WeighBatch(const FactTable::BatchView& b, double* out,
-                              PredProgram::BatchScratch* scratch) const {
-  const size_t n = b.rows();
-  const size_t ndims = b.num_dims();
+void CompiledScan::WeighColumns(const ValueId* const* cols, size_t ndims,
+                                size_t n, double* out,
+                                PredProgram::BatchScratch* scratch) const {
   std::vector<ValueId> cell(ndims);
   if (prog_ != nullptr) {
-    prog_->EvalBatch(b.dim_cols(), n, out, scratch);
+    prog_->EvalBatch(cols, n, out, scratch);
     for (size_t i = 0; i < n; ++i) {
       if (out[i] == PredProgram::kOutOfRange) {
         CountFallback();  // coordinate interned after compilation
-        GatherCell(b, ndims, i, cell.data());
+        GatherCell(cols, ndims, i, cell.data());
         out[i] = fallback_(cell.data());
       }
     }
     return;
   }
   for (size_t i = 0; i < n; ++i) {
-    GatherCell(b, ndims, i, cell.data());
+    GatherCell(cols, ndims, i, cell.data());
     out[i] = fallback_(cell.data());
   }
 }

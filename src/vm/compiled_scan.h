@@ -48,7 +48,15 @@ class CompiledScan {
   /// lanes, then the per-row interpreter fallback for out-of-range lanes
   /// (or for every lane when no program compiled).
   void WeighBatch(const FactTable::BatchView& b, double* out,
-                  PredProgram::BatchScratch* scratch) const;
+                  PredProgram::BatchScratch* scratch) const {
+    WeighColumns(b.dim_cols(), b.num_dims(), b.rows(), out, scratch);
+  }
+
+  /// WeighBatch over caller-built columns: `cols[d]` holds lane i's
+  /// coordinate of dimension d for i < n (e.g. a batch already rolled up to
+  /// a subcube's granularity).
+  void WeighColumns(const ValueId* const* cols, size_t ndims, size_t n,
+                    double* out, PredProgram::BatchScratch* scratch) const;
 
  private:
   std::shared_ptr<const PredProgram> prog_;

@@ -184,6 +184,8 @@ MatrixWorkload SubcubeMatrix(bool parallel) {
        [parallel](DurableWarehouse& dw) { return RunQuery(dw, parallel); }},
       {"cancel.query.subcube",
        [parallel](DurableWarehouse& dw) { return RunQuery(dw, parallel); }},
+      {"cancel.query.route",
+       [parallel](DurableWarehouse& dw) { return RunQuery(dw, parallel); }},
   };
   return w;
 }
@@ -258,11 +260,13 @@ void RunMatrix(const std::string& base, const MatrixWorkload& w) {
 
       // Clean-abort invariants: epoch, cache stats, cache counters, and the
       // checkpointed snapshot are byte-identical to never having started.
-      // (A query cancelled mid-evaluation counts the one miss its lookup
-      // already performed; the entry site aborts before the lookup, and a
-      // disabled cache performs no lookup at all.)
-      int64_t allowed_misses =
-          site == "cancel.query.subcube" && cache::Enabled() ? 1 : 0;
+      // (A query cancelled mid-evaluation — while routing or per subcube —
+      // counts the one miss its lookup already performed; the entry site
+      // aborts before the lookup, and a disabled cache performs no lookup at
+      // all.)
+      const bool mid_query =
+          site == "cancel.query.subcube" || site == "cancel.query.route";
+      int64_t allowed_misses = mid_query && cache::Enabled() ? 1 : 0;
       StateProbe::Of(dw).ExpectUnchangedFrom(
           before, site + " nth=" + std::to_string(nth), allowed_misses);
       EXPECT_FALSE(dw.poisoned()) << site << ": abort poisoned the warehouse";
@@ -420,6 +424,48 @@ TEST_P(CancelMatrixTest, SyncPassChargesRowBudgetOnce) {
   ctx.SetMaxRows(rows);  // one charge fits; a second would exhaust it
   runtime::ScopedOpContext scope(ctx);
   ASSERT_TRUE(dw.SynchronizePass(Now2000()).ok());
+  EXPECT_EQ(ctx.rows_charged(), rows);
+}
+
+TEST_P(CancelMatrixTest, StaleQueryChargesRowBudgetOnce) {
+  // A stale query routes every stored row once (the virtual synchronize)
+  // and charges exactly the stored row count, before routing reads a row.
+  const std::string dir = base_ + "/stale_charge";
+  auto dw_r = BuildSubcubeBase(dir);
+  ASSERT_TRUE(dw_r.ok()) << dw_r.status().ToString();
+  DurableWarehouse& dw = *dw_r.value();
+  int64_t rows = 0;
+  for (size_t i = 0; i < dw.subcubes()->num_subcubes(); ++i) {
+    rows += static_cast<int64_t>(dw.subcubes()->subcube(i).table.num_rows());
+  }
+  ASSERT_GT(rows, 1);
+  auto base_snap = ReadFile(SnapshotPath(dir));
+  ASSERT_TRUE(base_snap.ok());
+
+  // One row short: refused up front, with the clean-abort invariants. (The
+  // refused query counts the miss of its lookup; a disabled cache performs
+  // none.)
+  StateProbe before = StateProbe::Of(dw);
+  {
+    runtime::OpContext ctx;
+    ctx.SetMaxRows(rows - 1);
+    runtime::ScopedOpContext scope(ctx);
+    EXPECT_EQ(RunQuery(dw, GetParam() > 1).code(),
+              StatusCode::kResourceExhausted);
+  }
+  StateProbe::Of(dw).ExpectUnchangedFrom(before, "stale budget",
+                                         cache::Enabled() ? 1 : 0);
+  EXPECT_FALSE(dw.poisoned());
+  ASSERT_TRUE(dw.Checkpoint().ok());
+  auto after = ReadFile(SnapshotPath(dir));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), base_snap.value());
+
+  // Exactly the stored rows: passes, charging each row once.
+  runtime::OpContext ctx;
+  ctx.SetMaxRows(rows);
+  runtime::ScopedOpContext scope(ctx);
+  ASSERT_TRUE(RunQuery(dw, GetParam() > 1).ok());
   EXPECT_EQ(ctx.rows_charged(), rows);
 }
 

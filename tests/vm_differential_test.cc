@@ -351,9 +351,41 @@ TEST(VmDifferential, ReduceMatchesInterpretedCellsAcrossThreads) {
   EXPECT_GT(facts_merged, 0u) << "no two facts shared a reduced cell";
 }
 
+/// ⊤-mapped rows ("unknown value", Section 3) whose routing took one of
+/// ResponsibleCube's fallback branches, classified from public state only:
+/// no cube has a ⊤ granularity, so such a row's cell granularity matches no
+/// cube.
+struct FallbackRows {
+  /// "Responsible action's cube": an action claims the row.
+  int64_t action_cube = 0;
+  /// "Last resort: cube 0": no action claims the row.
+  int64_t last_resort = 0;
+};
+
+void ClassifyFallback(const SubcubeManager& m, std::span<const ValueId> cell,
+                      int64_t now, size_t cube, FallbackRows* out) {
+  const MultidimensionalObject& ctx = m.context();
+  bool top = false;
+  for (size_t d = 0; d < cell.size(); ++d) {
+    top = top || cell[d] == ctx.dimension(static_cast<DimensionId>(d))
+                                ->top_value();
+  }
+  if (!top || cube == SubcubeManager::kDeletedCell) return;
+  bool claimed = false;
+  for (const Action& a : m.spec().actions()) {
+    claimed = claimed || EvalPredOnCell(*a.predicate, ctx, cell, now);
+  }
+  if (claimed) {
+    ++out->action_cube;
+  } else if (cube == 0) {
+    ++out->last_resort;
+  }
+}
+
 /// Every row's planned target equals the interpreted ResponsibleCube of its
 /// cell.
-void ExpectPlanMatchesInterpreter(const SubcubeManager& m, int64_t now) {
+void ExpectPlanMatchesInterpreter(const SubcubeManager& m, int64_t now,
+                                  FallbackRows* fallbacks) {
   auto plans = m.PlanSynchronize(now);
   ASSERT_TRUE(plans.ok()) << plans.status().message();
   ASSERT_EQ(plans.value().size(), m.num_subcubes());
@@ -369,6 +401,7 @@ void ExpectPlanMatchesInterpreter(const SubcubeManager& m, int64_t now) {
       ASSERT_TRUE(want.ok()) << want.status().message();
       ASSERT_EQ(target[r], want.value())
           << "cube " << i << " row " << r << " at now=" << now;
+      ClassifyFallback(m, cell, now, target[r], fallbacks);
     }
   }
 }
@@ -394,9 +427,31 @@ std::string ExpectQueryMatchesReference(const SubcubeManager& m,
   return got;
 }
 
+/// ⊤-mapped copies of the first `n` clicks: even ones lose their URL, odd
+/// ones their day.
+MultidimensionalObject TopMappedClicks(const ClickstreamWorkload& w,
+                                       size_t n) {
+  const MultidimensionalObject& mo = *w.mo;
+  MultidimensionalObject out(mo.fact_type(), mo.dimensions(),
+                             mo.measure_types());
+  std::vector<ValueId> cell(mo.num_dimensions());
+  for (FactId f = 0; f < n && f < mo.num_facts(); ++f) {
+    std::span<const ValueId> c = mo.FactCoords(f);
+    cell.assign(c.begin(), c.end());
+    const size_t d = f % 2 == 0 ? 1 : 0;  // dims are {Time, URL}
+    cell[d] = mo.dimension(static_cast<DimensionId>(d))->top_value();
+    EXPECT_TRUE(out.AddFact(cell, mo.FactMeasures(f)).ok());
+  }
+  return out;
+}
+
 // Layer 2b: Synchronize (including the deletion path) and subcube queries —
 // synchronized and stale rewrites, with and without a predicate or target —
-// against the interpreter oracles at 1 and 8 threads.
+// against the interpreter oracles at 1 and 8 threads. The warehouse also
+// holds ⊤-mapped facts, and a second, hand-written specification claims
+// URL-⊤ facts by time alone, so routing reaches ResponsibleCube's
+// "responsible action's cube" and "last resort: cube 0" branches — both in
+// the plan check and in every stale query at the same NOW.
 TEST(VmDifferential, SubcubeMatchesInterpreterOracleAcrossThreads) {
   ClickstreamConfig cfg;
   cfg.seed = 67;
@@ -406,6 +461,7 @@ TEST(VmDifferential, SubcubeMatchesInterpreterOracleAcrossThreads) {
   cfg.span_days = 3 * 365;
   ClickstreamWorkload w = MakeClickstream(cfg);
   int64_t start = DaysFromCivil(cfg.start);
+  const MultidimensionalObject unknown = TopMappedClicks(w, 300);
 
   // Seed 40's shared filter is a whole domain group; the last NOW runs past
   // the data so the deletion action claims the oldest rows.
@@ -413,61 +469,97 @@ TEST(VmDifferential, SubcubeMatchesInterpreterOracleAcrossThreads) {
   opts.num_actions = 3;
   opts.sound_chain = true;
   opts.deletion_prob = 1.0;  // drive ResponsibleCube's deletion branch
-  ReductionSpecification spec =
-      MustSpec(dwred::testing::GenerateSpec(*w.mo, 40, opts));
+  std::vector<ReductionSpecification> specs;
+  specs.push_back(MustSpec(dwred::testing::GenerateSpec(*w.mo, 40, opts)));
+  // A time-only window: URL-⊤ facts satisfy it, and their granularity
+  // (month, ⊤) names no cube. Rows that age out of the window unclaimed
+  // (outside .com) stay in the month cube, but ⊤-mapped ones take the last
+  // resort — so rows of one segment with the same satisfied actions route
+  // apart on their category tuple alone.
+  ReductionSpecification by_time;
+  for (const char* text :
+       {"p(a[Time.month, URL.domain] s[NOW - 24 months <= Time.month <= "
+        "NOW - 6 months](O))",
+        "p(a[Time.quarter, URL.domain_grp] s[URL.domain_grp = .com AND "
+        "Time.quarter <= NOW - 8 quarters](O))"}) {
+    auto a = ParseAction(*w.mo, text);
+    ASSERT_TRUE(a.ok()) << a.status().message();
+    by_time.Add(std::move(a.value()));
+  }
+  specs.push_back(std::move(by_time));
 
   auto pred = ParsePredicate(*w.mo, "Time.month >= NOW - 30 months");
   ASSERT_TRUE(pred.ok()) << pred.status().message();
   auto target = ParseGranularityList(*w.mo, "Time.month, URL.domain");
   ASSERT_TRUE(target.ok()) << target.status().message();
 
-  std::string baseline;
+  FallbackRows fallbacks;
   PoolSizeGuard pool_guard;
-  for (int threads : {1, 8}) {
-    exec::ThreadPool::ResetGlobal(threads);
-    const bool parallel = threads > 1;
-    auto mgr = SubcubeManager::Create(
-        "Click", {w.time_dim, w.url_dim},
-        std::vector<MeasureType>(w.mo->measure_types()), spec);
-    ASSERT_TRUE(mgr.ok()) << mgr.status().message();
-    SubcubeManager& m = mgr.value();
-    ASSERT_TRUE(m.InsertBottomFacts(*w.mo).ok());
+  for (const ReductionSpecification& spec : specs) {
+    const bool deletes = std::any_of(
+        spec.actions().begin(), spec.actions().end(),
+        [](const Action& a) { return a.deletes; });
+    std::string baseline;
+    for (int threads : {1, 8}) {
+      exec::ThreadPool::ResetGlobal(threads);
+      const bool parallel = threads > 1;
+      auto mgr = SubcubeManager::Create(
+          "Click", {w.time_dim, w.url_dim},
+          std::vector<MeasureType>(w.mo->measure_types()), spec);
+      ASSERT_TRUE(mgr.ok()) << mgr.status().message();
+      SubcubeManager& m = mgr.value();
+      ASSERT_TRUE(m.InsertBottomFacts(*w.mo).ok());
+      ASSERT_TRUE(m.InsertBottomFacts(unknown).ok());
 
-    std::string fp;
-    // Query the unsynchronized warehouse first (stale rewrite + per-row
-    // responsibility filter), then synchronize, querying after each pass.
-    int64_t deleted = CounterValue("dwred_subcube_sync_rows_deleted");
-    for (int64_t now : {start + 400, start + 900, start + 1500}) {
-      for (bool assume_synced : {false, true}) {
+      std::string fp;
+      auto query = [&](const PredExpr* p,
+                       const std::vector<CategoryId>* t, int64_t now,
+                       bool assume_synced) {
         fp += "query@" + std::to_string(now) + "/" +
-              std::to_string(assume_synced) + "\n" +
-              ExpectQueryMatchesReference(m, pred.value().get(),
-                                          &target.value(), now, assume_synced,
+              std::to_string(assume_synced);
+        fp += p != nullptr ? "/pred" : "/-";
+        fp += t != nullptr ? "/target\n" : "/-\n";
+        fp += ExpectQueryMatchesReference(m, p, t, now, assume_synced,
                                           parallel);
+      };
+      // Query the unsynchronized warehouse first (stale rewrite + per-row
+      // responsibility routing) in every shape, then synchronize, querying
+      // after each pass.
+      const int64_t deleted = CounterValue("dwred_subcube_sync_rows_deleted");
+      for (int64_t now : {start + 400, start + 900, start + 1500}) {
+        for (bool assume_synced : {false, true}) {
+          query(pred.value().get(), &target.value(), now, assume_synced);
+        }
+        query(pred.value().get(), nullptr, now, false);
+        query(nullptr, &target.value(), now, false);
         if (::testing::Test::HasFailure()) return;
+        ExpectPlanMatchesInterpreter(m, now, &fallbacks);
+        if (::testing::Test::HasFatalFailure()) return;
+        auto migrated = m.Synchronize(now);
+        ASSERT_TRUE(migrated.ok()) << migrated.status().message();
+        fp += "sync@" + std::to_string(now) + "\n" + CubeFingerprint(m);
+        // The synchronized shapes: fused σ→α, σ alone, and the unpruned
+        // paths.
+        query(pred.value().get(), &target.value(), now, true);
+        query(pred.value().get(), nullptr, now, true);
+        query(nullptr, &target.value(), now, true);
+        query(nullptr, nullptr, now, false);
       }
-      ExpectPlanMatchesInterpreter(m, now);
-      if (::testing::Test::HasFatalFailure()) return;
-      auto migrated = m.Synchronize(now);
-      ASSERT_TRUE(migrated.ok()) << migrated.status().message();
-      fp += "sync@" + std::to_string(now) + "\n" + CubeFingerprint(m);
-      // The synchronized shapes: fused σ→α, σ alone, and the unpruned paths.
-      ExpectQueryMatchesReference(m, pred.value().get(), &target.value(), now,
-                                  true, parallel);
-      ExpectQueryMatchesReference(m, pred.value().get(), nullptr, now, true,
-                                  parallel);
-      ExpectQueryMatchesReference(m, nullptr, &target.value(), now, true,
-                                  parallel);
-      ExpectQueryMatchesReference(m, nullptr, nullptr, now, false, parallel);
-    }
-    EXPECT_GT(CounterValue("dwred_subcube_sync_rows_deleted"), deleted)
-        << "no synchronization exercised the deletion path";
-    if (baseline.empty()) {
-      baseline = std::move(fp);
-    } else {
-      EXPECT_EQ(fp, baseline) << "threads=" << threads << " diverged";
+      if (deletes) {
+        EXPECT_GT(CounterValue("dwred_subcube_sync_rows_deleted"), deleted)
+            << "no synchronization exercised the deletion path";
+      }
+      if (baseline.empty()) {
+        baseline = std::move(fp);
+      } else {
+        EXPECT_EQ(fp, baseline) << "threads=" << threads << " diverged";
+      }
     }
   }
+  EXPECT_GT(fallbacks.action_cube, 0)
+      << "no ⊤-mapped row reached the responsible action's cube branch";
+  EXPECT_GT(fallbacks.last_resort, 0)
+      << "no ⊤-mapped row reached the last-resort cube 0 branch";
 }
 
 /// An alternating, right-nested AND/OR chain `levels` connectives deep:
@@ -532,7 +624,39 @@ TEST(VmDifferential, CompileRejectionFallsBackToInterpreterEndToEnd) {
     const int64_t fallbacks = CounterValue("dwred_vm_fallbacks");
     ExpectQueryMatchesReference(m, deep.get(), &target.value(), now,
                                 /*assume_synced=*/false, parallel);
-    ASSERT_TRUE(m.Synchronize(now).ok());
+    // EXPLAIN of the stale shape: the query reports its own (rejected)
+    // selection program, not the routing pass's compiled action programs,
+    // and attributes the rows its folds read plus the rows it routed.
+    int64_t stored = 0;
+    for (size_t i = 0; i < m.num_subcubes(); ++i) {
+      stored += static_cast<int64_t>(m.subcube(i).table.num_rows());
+    }
+    obs::OpProfile stale_prof;
+    auto stale = m.Query(deep.get(), &target.value(), now + 1,
+                         /*assume_synchronized=*/false, parallel, nullptr,
+                         &stale_prof);
+    ASSERT_TRUE(stale.ok()) << stale.status().message();
+    if (obs::ProfilingEnabled()) {
+      EXPECT_FALSE(stale_prof.compiled);
+      EXPECT_NE(stale_prof.Render().find("no (tree interpreter)"),
+                std::string::npos);
+      int64_t routed = -1;
+      for (const auto& [name, value] : stale_prof.counters) {
+        if (name == "rows_routed") routed = value;
+      }
+      EXPECT_EQ(routed, stored);
+      int64_t read = 0;
+      for (const obs::SubcubeProfile& sc : stale_prof.subcubes) {
+        read += sc.rows_scanned;
+      }
+      EXPECT_EQ(read, stale_prof.rows_scanned);
+      EXPECT_GT(read, 0);
+    }
+    obs::OpProfile sync_prof;
+    ASSERT_TRUE(m.Synchronize(now, &sync_prof).ok());
+    if (obs::ProfilingEnabled()) {
+      EXPECT_TRUE(sync_prof.compiled) << "the spec's actions all compile";
+    }
     ExpectQueryMatchesReference(m, deep.get(), &target.value(), now, true,
                                 parallel);
     ExpectQueryMatchesReference(m, deep.get(), nullptr, now, true, parallel);
