@@ -9,18 +9,12 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 
 #include "common/env.h"
-#include "io/atomic_file.h"  // Crc32
-#include "io/warehouse_io.h"
 #include "net/client.h"  // IgnoreSigpipe
-#include "obs/logging.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "reduce/dynamics.h"
 #include "runtime/cancel.h"
-#include "spec/parser.h"
 
 namespace dwred::net {
 
@@ -108,39 +102,6 @@ Response FromStatus(const Status& st) {
 }
 
 }  // namespace
-
-std::string RenderResult(const MultidimensionalObject& mo) {
-  std::ostringstream out;
-  out << mo.num_facts() << " cells\n";
-  for (FactId f = 0; f < mo.num_facts(); ++f) {
-    out << mo.FormatFact(f) << "\n";
-  }
-  return out.str();
-}
-
-uint32_t WarehouseCrc(const SubcubeManager& mgr) {
-  std::shared_lock<std::shared_mutex> lock(
-      mgr.warehouse_cache().snapshot_mutex());
-  uint32_t crc = 0;
-  for (size_t i = 0; i < mgr.num_subcubes(); ++i) {
-    const Subcube& cube = mgr.subcube(i);
-    std::ostringstream out;
-    out << cube.name << "|";
-    for (CategoryId c : cube.granularity) out << c << ",";
-    out << "|" << cube.table.num_rows() << "\n";
-    const size_t nd = cube.table.num_dims();
-    const size_t nm = cube.table.num_measures();
-    cube.table.ForEachRow(
-        0, cube.table.num_rows(), [&](RowId, const FactTable::RowRef& row) {
-          for (size_t d = 0; d < nd; ++d) out << row.coord(d) << ",";
-          out << "|";
-          for (size_t m = 0; m < nm; ++m) out << row.measure(m) << ",";
-          out << "\n";
-        });
-    crc = Crc32(out.str(), crc);
-  }
-  return crc;
-}
 
 Server::Server(ServerConfig config, SubcubeManager* mgr)
     : config_(std::move(config)), mgr_(mgr) {}
@@ -416,35 +377,11 @@ Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
     m.aborts.Increment();
     resp = FromStatus(poll);
   } else {
-    switch (req.cmd) {
-      case Command::kPing:
-        resp.body = "pong";
-        break;
-      case Command::kQuery:
-        resp = DoQuery(req);
-        break;
-      case Command::kInsert:
-        resp = DoInsert(req);
-        break;
-      case Command::kSynchronize:
-        resp = DoSynchronize(req);
-        break;
-      case Command::kSpecChange:
-        resp = DoSpecChange(req);
-        break;
-      case Command::kStats:
-        resp = DoStats(req);
-        break;
-      case Command::kCacheCtl:
-        resp = DoCacheCtl(req);
-        break;
-      case Command::kSnapshotCrc:
-        resp = DoSnapshotCrc();
-        break;
-      case Command::kShutdown:
-        *shutdown_cmd = true;
-        resp.body = "shutting down";
-        break;
+    if (req.cmd == Command::kShutdown) *shutdown_cmd = true;
+    {
+      std::unique_lock<std::mutex> writer(write_mu_, std::defer_lock);
+      if (IsMutating(req)) writer.lock();
+      resp = Execute(req, CommandTarget{mgr_});
     }
     Status respond = runtime::PollCancel("cancel.net.respond");
     if (!respond.ok()) {
@@ -471,140 +408,6 @@ Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
                        static_cast<int64_t>(resp.body.size()));
     obs::FlightRecorder::Global().Record(profile);
   }
-  return resp;
-}
-
-Response Server::DoQuery(const Request& req) {
-  // Parsing resolves names against the facts-free context MO — read-only
-  // (the parser never interns values), so concurrent sessions parse freely.
-  std::shared_ptr<PredExpr> pred;
-  if (!req.a.empty()) {
-    auto p = ParsePredicate(mgr_->context(), req.a);
-    if (!p.ok()) return FromStatus(p.status());
-    pred = p.take();
-  }
-  std::vector<CategoryId> gran;
-  bool has_gran = false;
-  if (!req.b.empty()) {
-    auto g = ParseGranularityList(mgr_->context(), req.b);
-    if (!g.ok()) return FromStatus(g.status());
-    gran = g.take();
-    has_gran = true;
-  }
-  const bool explain = (req.flags & kQueryExplain) != 0;
-  obs::OpProfile profile;
-  auto r = mgr_->Query(pred.get(), has_gran ? &gran : nullptr, req.now_day,
-                       (req.flags & kQuerySynchronized) != 0,
-                       (req.flags & kQueryParallel) != 0,
-                       /*pinned_epoch=*/nullptr, explain ? &profile : nullptr);
-  if (!r.ok()) return FromStatus(r.status());
-  Response resp;
-  resp.body = RenderResult(r.value());
-  if (explain) {
-    resp.body += profile.op.empty()
-                     ? "explain: profiling disabled (DWRED_PROFILE_DISABLED)\n"
-                     : profile.Render();
-  }
-  return resp;
-}
-
-Response Server::DoInsert(const Request& req) {
-  std::lock_guard<std::mutex> writer(write_mu_);
-  const MultidimensionalObject& ctx = mgr_->context();
-  MultidimensionalObject batch(ctx.fact_type(), ctx.dimensions(),
-                               ctx.measure_types());
-  {
-    // CSV decoding interns unknown time values into the *shared* dimensions;
-    // that mutation must not race epoch-pinned readers, so it runs under the
-    // exclusive snapshot lock (released before InsertBottomFacts, which
-    // re-acquires it — the lock is not recursive). Values interned here are
-    // factless until the insert lands; a reader between the two critical
-    // sections sees extra interned values but identical facts and bytes.
-    std::unique_lock<std::shared_mutex> lock(
-        mgr_->warehouse_cache().snapshot_mutex());
-    Status st = ReadFactCsv(&batch, req.a);
-    if (!st.ok()) return FromStatus(st);
-  }
-  Status st = mgr_->InsertBottomFacts(batch);
-  if (!st.ok()) return FromStatus(st);
-  Response resp;
-  resp.body = "inserted " + std::to_string(batch.num_facts()) +
-              " facts epoch=" + std::to_string(mgr_->epoch());
-  return resp;
-}
-
-Response Server::DoSynchronize(const Request& req) {
-  std::lock_guard<std::mutex> writer(write_mu_);
-  auto r = mgr_->Synchronize(req.now_day);
-  if (!r.ok()) return FromStatus(r.status());
-  Response resp;
-  resp.body = "synchronized: " + std::to_string(r.value()) +
-              " rows migrated epoch=" + std::to_string(mgr_->epoch());
-  return resp;
-}
-
-Response Server::DoSpecChange(const Request& req) {
-  std::lock_guard<std::mutex> writer(write_mu_);
-  auto actions = ReadSpecificationText(mgr_->context(), req.a);
-  if (!actions.ok()) return FromStatus(actions.status());
-  // Re-validate the full set (Growing + NonCrossing) before touching the
-  // layout — ChangeSpecification trusts a validated specification.
-  auto spec =
-      InsertActions(mgr_->context(), ReductionSpecification{}, actions.take());
-  if (!spec.ok()) return FromStatus(spec.status());
-  const size_t n_actions = spec.value().size();
-  Status st = mgr_->ChangeSpecification(spec.take(), req.now_day);
-  if (!st.ok()) return FromStatus(st);
-  Response resp;
-  resp.body = "specification installed: " + std::to_string(n_actions) +
-              " actions, " + std::to_string(mgr_->num_subcubes()) +
-              " subcubes epoch=" + std::to_string(mgr_->epoch()) + "\n" +
-              mgr_->DescribeLayout();
-  return resp;
-}
-
-Response Server::DoStats(const Request& req) {
-  Response resp;
-  resp.body = (req.flags & kStatsJson) != 0
-                  ? obs::MetricsRegistry::Global().RenderJson()
-                  : obs::MetricsRegistry::Global().RenderText();
-  return resp;
-}
-
-Response Server::DoCacheCtl(const Request& req) {
-  cache::WarehouseCache& wc = mgr_->warehouse_cache();
-  Response resp;
-  if (req.a == "clear") {
-    std::lock_guard<std::mutex> writer(write_mu_);
-    wc.Clear();
-    resp.body = "cache cleared";
-    return resp;
-  }
-  if (!req.a.empty()) {
-    return FromStatus(
-        Status::InvalidArgument("cache_ctl: expected \"\" or \"clear\", got '" +
-                                req.a + "'"));
-  }
-  cache::WarehouseCache::Stats st = wc.GetStats();
-  std::ostringstream out;
-  out << "cache " << (cache::Enabled() ? "enabled" : "disabled")
-      << ": epoch=" << st.epoch << " query_entries=" << st.query_entries
-      << " scanspec_entries=" << st.scanspec_entries
-      << " program_entries=" << st.program_entries << " bytes=" << st.bytes
-      << " max_entries=" << st.max_entries << " max_bytes=" << st.max_bytes;
-  resp.body = out.str();
-  return resp;
-}
-
-Response Server::DoSnapshotCrc() {
-  size_t rows = 0;
-  for (size_t i = 0; i < mgr_->num_subcubes(); ++i) {
-    rows += mgr_->subcube(i).table.num_rows();
-  }
-  Response resp;
-  resp.body = "crc=" + std::to_string(WarehouseCrc(*mgr_)) +
-              " rows=" + std::to_string(rows) +
-              " epoch=" + std::to_string(mgr_->epoch());
   return resp;
 }
 

@@ -1,7 +1,10 @@
 #pragma once
 
 // dwredd's serving core (docs/SERVER.md): a TCP listener fronting one
-// SubcubeManager with the net/protocol.h command protocol.
+// SubcubeManager with the net/protocol.h command protocol. The server does
+// transport work only — framing, the per-request OpContext, the write
+// mutex, metrics and the flight recorder; every command body is
+// net/command.h's Execute, the one dwredctl runs in process.
 //
 // Threading model: one accept thread plus one dedicated thread per
 // connection. Sessions do NOT run on the exec::ThreadPool — the pool is a
@@ -33,6 +36,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/command.h"
 #include "net/protocol.h"
 #include "subcube/manager.h"
 
@@ -94,14 +98,6 @@ class Server {
   /// waiter cannot check the predicate and block between the two).
   void SignalShutdown();
 
-  Response DoQuery(const Request& req);
-  Response DoInsert(const Request& req);
-  Response DoSynchronize(const Request& req);
-  Response DoSpecChange(const Request& req);
-  Response DoStats(const Request& req);
-  Response DoCacheCtl(const Request& req);
-  Response DoSnapshotCrc();
-
   ServerConfig config_;
   SubcubeManager* mgr_;
   /// Atomic: the accept loop reads it per iteration while Stop() closes and
@@ -125,16 +121,5 @@ class Server {
   std::vector<std::unique_ptr<SessionSlot>> sessions_;
   int open_sessions_ = 0;  ///< guarded by sessions_mu_
 };
-
-/// CRC32 over a canonical serialization of every subcube's live rows (name,
-/// granularity, coordinates, measures), taken under the shared snapshot lock.
-/// The differential anchor for over-the-wire vs. embedded workloads: equal
-/// CRCs mean byte-identical warehouses.
-uint32_t WarehouseCrc(const SubcubeManager& mgr);
-
-/// Canonical rendering of a query result: a cell-count line followed by one
-/// FormatFact line per fact. Shared by the wire path and embedded
-/// differential tests so both render identical bytes.
-std::string RenderResult(const MultidimensionalObject& mo);
 
 }  // namespace dwred::net

@@ -157,7 +157,7 @@ Result<SelectionResult> Select(const MultidimensionalObject& mo,
 }
 
 Result<SelectionResult> SelectFromScan(
-    const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
+    const FactTable& t, const scan::ScanPlan& plan, const PredExpr* pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,
@@ -182,10 +182,17 @@ Result<SelectionResult> SelectFromScan(
   // survivors. Rows in pruned segments keep weight 0 — ScanSpec pruning is
   // sound for every approach — so output bytes match the unpruned pipeline.
   std::vector<double> weights;
-  vm::CompiledScan cs(compiled, [&](const ValueId* c) {
-    return EvalQueryPredOnCoords(pred, dims, c, now_day, approach);
-  });
-  cs.WeighTable(t, plan, &weights);
+  if (pred != nullptr) {
+    vm::CompiledScan cs(compiled, [&](const ValueId* c) {
+      return EvalQueryPredOnCoords(*pred, dims, c, now_day, approach);
+    });
+    cs.WeighTable(t, plan, &weights);
+  } else {
+    weights.assign(t.num_rows(), 0.0);
+    for (const exec::Shard& u : plan.units) {
+      std::fill(weights.begin() + u.begin, weights.begin() + u.end, 1.0);
+    }
+  }
 
   SelectionResult out{MultidimensionalObject(fact_type, dims, measures), {}};
   const size_t ndims = dims.size();
@@ -768,7 +775,7 @@ void AvailabilityFold::Fold(const ValueId* const* cols,
 MultidimensionalObject AvailabilityFold::Take() { return std::move(impl_->out); }
 
 Result<MultidimensionalObject> AggregateFromScan(
-    const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
+    const FactTable& t, const scan::ScanPlan& plan, const PredExpr* pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,
@@ -804,14 +811,14 @@ Result<MultidimensionalObject> AggregateFromScan(
   // straight into their groups. Rows in pruned segments are never visited;
   // they would have weighed 0.
   vm::CompiledScan cs(compiled, [&](const ValueId* c) {
-    return EvalQueryPredOnCoords(pred, dims, c, now_day, approach);
+    return EvalQueryPredOnCoords(*pred, dims, c, now_day, approach);
   });
   AvailabilityFold fold(fact_type, dims, measures, target, rollup);
-  std::vector<double> w(FactTable::kBatchRows);
+  std::vector<double> w(FactTable::kBatchRows, 1.0);
   vm::PredProgram::BatchScratch scratch;
   for (const exec::Shard& u : plan.units) {
     t.ForEachBatch(u.begin, u.end, [&](const FactTable::BatchView& b) {
-      cs.WeighBatch(b, w.data(), &scratch);
+      if (pred != nullptr) cs.WeighBatch(b, w.data(), &scratch);
       fold.Fold(b.dim_cols(), b.meas_cols(), b.rows(), w.data());
     });
   }

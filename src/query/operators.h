@@ -39,14 +39,15 @@ Result<SelectionResult> Select(const MultidimensionalObject& mo,
 /// built from a sound ScanSpec of `pred`: facts are emitted in ascending
 /// logical row order under their table-scan names ("fact_<logical row>"),
 /// so output does not depend on pruning or thread count. `compiled` as in
-/// Select; when null every row is weighed by the tree interpreter.
+/// Select; when null every row is weighed by the tree interpreter. A null
+/// `pred` selects every planned row (weight 1).
 /// `materialize_names` (default true) stores the "fact_<row>" display names
 /// Select over the full ToMO would have produced. Callers that immediately
 /// aggregate the selection — which rebuilds facts and discards names — pass
 /// false to skip the per-survivor string materialization; result *query*
 /// bytes are unchanged because the intermediate MO never escapes.
 Result<SelectionResult> SelectFromScan(
-    const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
+    const FactTable& t, const scan::ScanPlan& plan, const PredExpr* pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,
@@ -171,9 +172,10 @@ class AvailabilityFold {
 /// discovery order and measure fold order are unchanged
 /// (docs/COMPILATION.md). Availability approach only — the only one the
 /// subcube query path combines with. `compiled` may be null (per-row tree
-/// interpretation) and so may `rollup` (per-row walks).
+/// interpretation) and so may `rollup` (per-row walks); a null `pred` folds
+/// every planned row with weight 1.
 Result<MultidimensionalObject> AggregateFromScan(
-    const FactTable& t, const scan::ScanPlan& plan, const PredExpr& pred,
+    const FactTable& t, const scan::ScanPlan& plan, const PredExpr* pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,

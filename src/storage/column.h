@@ -177,6 +177,9 @@ class EncodedColumn {
   /// vectorizable gather instead of a per-element variable-width memcpy.
   void Decode(size_t begin, size_t end, T* out) const {
     DWRED_CHECK(begin <= end && end <= n_);
+    // An empty range may come with a null `out` (an empty column), and
+    // memcpy's pointers must be valid even for zero bytes.
+    if (begin == end) return;
     switch (enc_) {
       case ColEncoding::kPlain:
         std::memcpy(out, values_.data() + begin, (end - begin) * sizeof(T));

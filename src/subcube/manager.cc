@@ -830,15 +830,15 @@ SubcubeManager::QuerySubresultsLocked(
     obs::SubcubeProfile* sc =
         profile != nullptr ? &profile->subcubes[i] : nullptr;
 
-    // Three evaluation shapes, the first two fused: they read the storage
-    // segments directly with no intermediate MO. Pruned (synchronized, with
-    // a predicate): σ→α folded straight into output groups when there is a
-    // target, σ alone otherwise (operators.h: AggregateFromScan,
-    // SelectFromScan). Stale: the cube's routed rows folded by
-    // FoldStaleCube. Synchronized without a predicate: the cube's rows as
-    // an MO, then α.
+    // Two evaluation shapes, both fused: they read the storage segments
+    // directly with no intermediate MO. Synchronized: σ→α folded straight
+    // into output groups when there is a target, σ alone otherwise
+    // (operators.h: AggregateFromScan, SelectFromScan), over the segments
+    // the predicate's ScanSpec keeps — all of them, each row weighing 1,
+    // without a predicate. Stale: the cube's routed rows folded by
+    // FoldStaleCube.
     MultidimensionalObject base(fact_type_, dims_, measures_);
-    if (prune) {
+    if (assume_synchronized) {
       scan::ScanPlan plan = scan::PlanTableScan(cube.table, scan_spec);
       if (sc != nullptr) {
         sc->segments_total = static_cast<int64_t>(plan.segments_total);
@@ -852,40 +852,27 @@ SubcubeManager::QuerySubresultsLocked(
       }
       if (target != nullptr) {
         DWRED_ASSIGN_OR_RETURN(
-            base, AggregateFromScan(cube.table, plan, *pred, now_day,
+            base, AggregateFromScan(cube.table, plan, pred, now_day,
                                     SelectionApproach::kConservative,
                                     fact_type_, dims_, measures_, *target,
                                     prog, rollup));
       } else {
         DWRED_ASSIGN_OR_RETURN(
             SelectionResult sel,
-            SelectFromScan(cube.table, plan, *pred, now_day,
+            SelectFromScan(cube.table, plan, pred, now_day,
                            SelectionApproach::kConservative, fact_type_,
                            dims_, measures_, prog));
         base = std::move(sel.mo);
       }
-    } else if (!assume_synchronized) {
+    } else {
       int64_t rows_read = 0;
       base = FoldStaleCube(i, stale, pred, now_day, prog, target, rollup,
                            &rows_read);
       if (sc != nullptr) sc->rows_scanned = rows_read;
-    } else {
-      // No scan plan, hence no counter movement to attribute; only the rows
-      // read are reported.
-      if (sc != nullptr) {
-        sc->rows_scanned = static_cast<int64_t>(cube.table.num_rows());
-      }
-      base = cube.table.ToMO(fact_type_, dims_, measures_);
     }
     if (sc != nullptr) {
       sc->name = cube.name;
       scan_us[i] = cube_timer.LapMicros();
-    }
-    if (assume_synchronized && !prune && target != nullptr) {
-      DWRED_ASSIGN_OR_RETURN(
-          base, AggregateFormation(base, *target,
-                                   AggregationApproach::kAvailability,
-                                   /*track_provenance=*/false, rollup));
     }
     if (sc != nullptr) {
       agg_us[i] = cube_timer.LapMicros();
@@ -927,7 +914,7 @@ SubcubeManager::QuerySubresultsLocked(
   }
 
   // One pool shard per subcube. The nested ParallelFor calls inside
-  // Select/AggregateFormation are safe: the pool's caller participation
+  // SelectFromScan are safe: the pool's caller participation
   // keeps nested operations deadlock-free. Results land in per-cube slots
   // and are collected in cube order — identical at every thread count.
   std::vector<std::optional<Result<MultidimensionalObject>>> slots(

@@ -106,7 +106,7 @@ struct ChronoTable {
 /// program: the interpreter-fallback shape of the pruned query path.
 SelectionResult PrunedSelect(const ChronoTable& ct, const scan::ScanPlan& plan,
                              const PredExpr& pred) {
-  return SelectFromScan(ct.t, plan, pred, ct.now,
+  return SelectFromScan(ct.t, plan, &pred, ct.now,
                         SelectionApproach::kConservative, "Click",
                         ct.ex.mo->dimensions(),
                         std::vector<MeasureType>(ct.ex.mo->measure_types()),

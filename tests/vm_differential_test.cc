@@ -538,11 +538,12 @@ TEST(VmDifferential, SubcubeMatchesInterpreterOracleAcrossThreads) {
         auto migrated = m.Synchronize(now);
         ASSERT_TRUE(migrated.ok()) << migrated.status().message();
         fp += "sync@" + std::to_string(now) + "\n" + CubeFingerprint(m);
-        // The synchronized shapes: fused σ→α, σ alone, and the unpruned
-        // paths.
+        // The synchronized shapes: fused σ→α and σ alone, pruned by the
+        // predicate or over every segment without one.
         query(pred.value().get(), &target.value(), now, true);
         query(pred.value().get(), nullptr, now, true);
         query(nullptr, &target.value(), now, true);
+        query(nullptr, nullptr, now, true);
         query(nullptr, nullptr, now, false);
       }
       if (deletes) {

@@ -1,14 +1,40 @@
 // dwredctl — a scriptable warehouse shell over the dwred library.
 //
-// Reads commands from a script file (or stdin), one per line:
+// Reads commands from a script file (or stdin), one per line. The shared
+// commands have one grammar (net::ParseCommand) and one body (net::Execute):
+// dwredctl runs them in process, or ships them to a dwredd under --connect,
+// and prints the same bytes either way (docs/SERVER.md has the table):
+//
+//   ping                                     # pong
+//   load-facts <file.csv>                    # insert facts (before
+//                                            #   subcube-init: into the plain
+//                                            #   warehouse)
+//   subcube-load <file.csv>                  # insert bottom-subcube facts
+//   subcube-sync <date>                      # Section 7.2 synchronization
+//   subcube-query <date> [<granularity list>] [where <predicate>]
+//                                            # Section 7.3 combined query
+//   explain <date> [<granularity list>] [where <predicate>]
+//                                            # the query, synchronized and
+//                                            #   parallel: cells, then profile
+//   action [name:] <action text>             # stage an action
+//   apply <date>                             # replace the subcube spec with
+//                                            #   the staged actions
+//   metrics                                  # Prometheus-style text dump
+//   metrics-json                             # same registry, JSON snapshot
+//   cache                                    # epoch, cache entries, hit rates
+//   cache clear                              # drop every cached entry
+//   snapshot-crc                             # CRC of every subcube's rows
+//   shutdown                                 # stop the dwredd (--connect only)
+//   echo <text>
+//
+// The local-only commands build, reduce and inspect a warehouse in process
+// (under --connect the server owns the warehouse, so they are rejected):
 //
 //   fact-type <Name>                         # default "Fact"
 //   time-dimension <Name>                    # built-in day..year hierarchy
 //   load-dimension <Name> <file.csv>         # denormalized rollup table
 //   measures <name>:<sum|min|max>[,...]
 //   init                                     # create the warehouse
-//   load-facts <file.csv>
-//   action [name:] <action text>             # stage an action
 //   apply                                    # validate + install staged set
 //   delete-action <name> <date>              # Definition 4 at the date
 //   reduce <date>                            # Definition 2 in place
@@ -22,28 +48,19 @@
 //   save-snapshot <file.dwsnap>             # binary warehouse + spec
 //   load-snapshot <file.dwsnap>             # instead of init + loads
 //   show [n]                                 # print up to n facts (default 20)
-//   stats
-//   metrics                                  # Prometheus-style text dump
-//   metrics-json                             # same registry, JSON snapshot
+//   stats                                    # facts, bytes, actions
 //   subcube-init                             # Section 7 layout from the spec
-//   subcube-load <file.csv>                  # bottom-cube facts from CSV
 //   subcube-layout
-//   subcube-sync <date>                      # Section 7.2 synchronization
-//   subcube-query <date> <granularity list>  # Section 7.3 combined query
-//   explain <date> <granularity list> [where <predicate>]
-//                                            # run the query synchronized +
-//                                            # parallel, print its profile
 //   slowlog                                  # flight recorder: slow ops + why
 //   trace-tree                               # span tree of the trace buffer
 //   storage                                  # per-subcube segments + zone maps
-//   cache                                    # epoch, cache entries, hit rates
-//   cache clear                              # drop every cached entry
 //   attach <dir>                             # bind to a durable directory:
 //                                            #   fresh dir: journal this warehouse
 //                                            #   existing: recover, then continue
 //   checkpoint                               # fold the journal into a snapshot
 //   detach                                   # checkpoint + release the directory
-//   echo <text>
+//
+// Every <date> is a day, e.g. 2000/11/5.
 //
 // Blank lines and '#' comments are ignored. The tool stops at the first
 // failing command and reports its diagnostic (Status on stderr), exiting
@@ -67,13 +84,13 @@
 #include <memory>
 #include <sstream>
 
-#include "cache/cache.h"
 #include "common/strings.h"
 #include "io/csv.h"
 #include "io/recovery.h"
 #include "io/snapshot.h"
 #include "io/warehouse_io.h"
 #include "net/client.h"
+#include "net/command.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -96,11 +113,17 @@ struct Shell {
   std::vector<MeasureType> measures;
   std::unique_ptr<MultidimensionalObject> mo;
   ReductionSpecification spec;
-  std::vector<Action> staged;
+  std::string staged;  ///< `action` lines awaiting `apply`, one per line
   std::unique_ptr<SubcubeManager> subcubes;
   /// Non-null while attached to a durable directory; mutating commands are
   /// then journaled (io/recovery.h) and `mo`/`spec` stay empty.
   std::unique_ptr<DurableWarehouse> durable;
+  /// --connect: shared commands go to this dwredd, local-only ones are
+  /// rejected. Transport failures surface as Unavailable (exit 6).
+  bool remote = false;
+  net::Client client;
+  uint32_t deadline_ms = 0;  ///< remote: travels in every request
+  uint64_t max_rows = 0;
 
   const MultidimensionalObject& CurMO() const {
     return durable ? durable->mo() : *mo;
@@ -127,8 +150,12 @@ struct Shell {
     return Status::OK();
   }
 
+  bool HasSubcubes() const {
+    return durable ? durable->subcubes() != nullptr : subcubes != nullptr;
+  }
+
   Status RequireSubcubes() const {
-    if (durable ? durable->subcubes() == nullptr : !subcubes) {
+    if (!HasSubcubes()) {
       return Status::InvalidArgument("run 'subcube-init' first");
     }
     return Status::OK();
@@ -145,19 +172,71 @@ struct Shell {
     return Status::NotFound("no dimension named '" + std::string(name) + "'");
   }
 
-  Status Run(std::string_view cmdline) {
-    std::string_view line = Trim(cmdline);
-    if (line.empty() || line[0] == '#') return Status::OK();
-    std::istringstream in{std::string(line)};
-    std::string cmd;
-    in >> cmd;
-    std::string rest;
-    std::getline(in, rest);
-    rest = std::string(Trim(rest));
+  /// A shared command: sent to the dwredd under --connect, else run by the
+  /// same net::Execute the daemon runs. Either way the body is printed.
+  Status RunRequest(const std::string& cmd, net::Request req) {
+    net::Response resp;
+    if (remote) {
+      req.deadline_ms = deadline_ms;
+      req.max_rows = max_rows;
+      DWRED_ASSIGN_OR_RETURN(resp, client.Call(req));
+    } else if (req.cmd == net::Command::kShutdown) {
+      return Status::InvalidArgument(
+          "'shutdown' stops a dwredd; run it with --connect");
+    } else if (cmd == "load-facts" && !HasSubcubes()) {
+      return LoadPlainFacts(req.a);
+    } else {
+      resp = net::Execute(req, {subcubes.get(), durable.get()});
+    }
+    if (resp.code != StatusCode::kOk) return Status(resp.code, resp.message);
+    if (req.cmd == net::Command::kSpecChange) staged.clear();
+    if (!resp.body.empty()) {
+      std::printf("%s%s", resp.body.c_str(),
+                  resp.body.back() == '\n' ? "" : "\n");
+    }
+    return Status::OK();
+  }
 
+  /// `load-facts` before `subcube-init`: the facts join the plain warehouse.
+  Status LoadPlainFacts(std::string_view csv) {
+    DWRED_RETURN_IF_ERROR(Require(true));
+    if (durable) {
+      MultidimensionalObject batch(fact_type, dims, measures);
+      DWRED_RETURN_IF_ERROR(ReadFactCsv(&batch, csv));
+      DWRED_RETURN_IF_ERROR(durable->InsertFacts(batch));
+      std::printf("loaded %zu facts (journaled, lsn %llu)\n",
+                  batch.num_facts(),
+                  static_cast<unsigned long long>(durable->applied_lsn()));
+      return Status::OK();
+    }
+    size_t before = mo->num_facts();
+    DWRED_RETURN_IF_ERROR(ReadFactCsv(mo.get(), csv));
+    std::printf("loaded %zu facts (%zu total)\n", mo->num_facts() - before,
+                mo->num_facts());
+    return Status::OK();
+  }
+
+  Status Run(std::string_view text) {
+    DWRED_ASSIGN_OR_RETURN(net::ScriptLine line,
+                           net::ParseCommand(text, staged));
+    const std::string& cmd = line.word;
+    const std::string& rest = line.rest;
+    if (cmd.empty()) return Status::OK();
+    if (line.request) return RunRequest(cmd, std::move(*line.request));
     if (cmd == "echo") {
       std::printf("%s\n", rest.c_str());
       return Status::OK();
+    }
+    if (cmd == "action") {
+      if (rest.empty()) return Status::InvalidArgument("action: empty text");
+      staged += rest;
+      staged += '\n';
+      return Status::OK();
+    }
+    if (remote) {
+      return Status::InvalidArgument(
+          "command not available over --connect (the server owns the "
+          "warehouse): " + cmd);
     }
     if (cmd == "fact-type") {
       DWRED_RETURN_IF_ERROR(Require(false));
@@ -273,50 +352,29 @@ struct Shell {
       std::printf("detached (directory checkpointed)\n");
       return Status::OK();
     }
-    if (cmd == "load-facts") {
-      DWRED_RETURN_IF_ERROR(Require(true));
-      DWRED_ASSIGN_OR_RETURN(std::string csv, ReadFile(rest));
-      if (durable) {
-        MultidimensionalObject batch(fact_type, dims, measures);
-        DWRED_RETURN_IF_ERROR(ReadFactCsv(&batch, csv));
-        DWRED_RETURN_IF_ERROR(durable->InsertFacts(batch));
-        std::printf("loaded %zu facts (journaled, lsn %llu)\n",
-                    batch.num_facts(),
-                    static_cast<unsigned long long>(durable->applied_lsn()));
-        return Status::OK();
-      }
-      size_t before = mo->num_facts();
-      DWRED_RETURN_IF_ERROR(ReadFactCsv(mo.get(), csv));
-      std::printf("loaded %zu facts (%zu total)\n", mo->num_facts() - before,
-                  mo->num_facts());
-      return Status::OK();
-    }
-    if (cmd == "action") {
-      DWRED_RETURN_IF_ERROR(Require(true));
-      DWRED_ASSIGN_OR_RETURN(std::vector<Action> parsed,
-                             ReadSpecificationText(CurMO(), rest));
-      for (Action& a : parsed) staged.push_back(std::move(a));
-      return Status::OK();
-    }
     if (cmd == "apply") {
       DWRED_RETURN_IF_ERROR(Require(true));
+      if (HasSubcubes()) {
+        return Status::InvalidArgument(
+            "the subcube warehouse takes 'apply <date>'");
+      }
+      DWRED_ASSIGN_OR_RETURN(std::vector<Action> actions,
+                             ReadSpecificationText(CurMO(), staged));
       if (durable) {
         std::vector<std::pair<std::string, std::string>> pairs;
-        pairs.reserve(staged.size());
-        for (const Action& a : staged) {
+        pairs.reserve(actions.size());
+        for (const Action& a : actions) {
           pairs.emplace_back(a.name, a.source_text);
         }
         DWRED_RETURN_IF_ERROR(durable->ApplyActions(pairs));
-        staged.clear();
-        std::printf("specification valid: %zu actions installed\n",
-                    durable->spec().size());
-        return Status::OK();
+      } else {
+        // A rejected set stays staged: the user can stage a covering action
+        // and retry instead of starting over.
+        DWRED_ASSIGN_OR_RETURN(spec, InsertActions(*mo, spec, actions));
       }
-      // Validate against a copy so a rejected set stays staged: the user can
-      // stage a covering action and retry instead of starting over.
-      DWRED_ASSIGN_OR_RETURN(spec, InsertActions(*mo, spec, staged));
       staged.clear();
-      std::printf("specification valid: %zu actions installed\n", spec.size());
+      std::printf("specification valid: %zu actions installed\n",
+                  CurSpec().size());
       return Status::OK();
     }
     if (cmd == "delete-action") {
@@ -324,12 +382,9 @@ struct Shell {
       std::istringstream args(rest);
       std::string name, date;
       args >> name >> date;
-      DWRED_ASSIGN_OR_RETURN(TimeGranule day, ParseGranule(date));
-      if (day.unit != TimeUnit::kDay) {
-        return Status::InvalidArgument("expected a day, e.g. 2000/11/5");
-      }
+      DWRED_ASSIGN_OR_RETURN(int64_t day, net::ParseDay(date));
       if (durable) {
-        DWRED_RETURN_IF_ERROR(durable->DeleteAction(name, day.index));
+        DWRED_RETURN_IF_ERROR(durable->DeleteAction(name, day));
         std::printf("deleted action %s (%zu remain)\n", name.c_str(),
                     durable->spec().size());
         return Status::OK();
@@ -337,7 +392,7 @@ struct Shell {
       for (ActionId i = 0; i < spec.size(); ++i) {
         if (spec.action(i).name == name) {
           DWRED_ASSIGN_OR_RETURN(spec,
-                                 DeleteActions(*mo, spec, {i}, day.index));
+                                 DeleteActions(*mo, spec, {i}, day));
           std::printf("deleted action %s (%zu remain)\n", name.c_str(),
                       spec.size());
           return Status::OK();
@@ -347,13 +402,10 @@ struct Shell {
     }
     if (cmd == "reduce") {
       DWRED_RETURN_IF_ERROR(Require(true));
-      DWRED_ASSIGN_OR_RETURN(TimeGranule day, ParseGranule(rest));
-      if (day.unit != TimeUnit::kDay) {
-        return Status::InvalidArgument("expected a day, e.g. 2000/11/5");
-      }
+      DWRED_ASSIGN_OR_RETURN(int64_t day, net::ParseDay(rest));
       ReduceStats stats;
       if (durable) {
-        DWRED_RETURN_IF_ERROR(durable->ReducePass(day.index, &stats));
+        DWRED_RETURN_IF_ERROR(durable->ReducePass(day, &stats));
         std::printf(
             "reduced at %s: %zu -> %zu facts (%zu aggregated, %zu deleted)\n",
             rest.c_str(), stats.input_facts, stats.output_facts,
@@ -361,7 +413,7 @@ struct Shell {
         return Status::OK();
       }
       DWRED_ASSIGN_OR_RETURN(MultidimensionalObject reduced,
-                             Reduce(*mo, spec, day.index, {}, &stats));
+                             Reduce(*mo, spec, day, {}, &stats));
       *mo = std::move(reduced);
       std::printf(
           "reduced at %s: %zu -> %zu facts (%zu aggregated, %zu deleted)\n",
@@ -381,11 +433,11 @@ struct Shell {
       else if (approach_s == "liberal") ap = SelectionApproach::kLiberal;
       else if (approach_s == "weighted") ap = SelectionApproach::kWeighted;
       else return Status::InvalidArgument("unknown approach " + approach_s);
-      DWRED_ASSIGN_OR_RETURN(TimeGranule day, ParseGranule(date));
+      DWRED_ASSIGN_OR_RETURN(int64_t day, net::ParseDay(date));
       DWRED_ASSIGN_OR_RETURN(auto pred,
                              ParsePredicate(CurMO(), Trim(pred_text)));
       DWRED_ASSIGN_OR_RETURN(SelectionResult sel,
-                             Select(CurMO(), *pred, day.index, ap));
+                             Select(CurMO(), *pred, day, ap));
       std::printf("select (%s): %zu facts\n", approach_s.c_str(),
                   sel.mo.num_facts());
       for (FactId f = 0; f < sel.mo.num_facts() && f < 20; ++f) {
@@ -405,6 +457,8 @@ struct Shell {
       args >> date;
       std::string gran_text;
       std::getline(args, gran_text);
+      // α takes no NOW, but the date is still checked like every other.
+      DWRED_RETURN_IF_ERROR(net::ParseDay(date).status());
       DWRED_ASSIGN_OR_RETURN(auto gran,
                              ParseGranularityList(CurMO(), Trim(gran_text)));
       DWRED_ASSIGN_OR_RETURN(MultidimensionalObject agg,
@@ -517,14 +571,6 @@ struct Shell {
                   HumanBytes(dim_bytes).c_str(), CurSpec().size());
       return Status::OK();
     }
-    if (cmd == "metrics") {
-      std::printf("%s", obs::MetricsRegistry::Global().RenderText().c_str());
-      return Status::OK();
-    }
-    if (cmd == "metrics-json") {
-      std::printf("%s\n", obs::MetricsRegistry::Global().RenderJson().c_str());
-      return Status::OK();
-    }
     if (cmd == "subcube-init") {
       DWRED_RETURN_IF_ERROR(Require(true));
       if (CurSpec().empty()) {
@@ -544,98 +590,9 @@ struct Shell {
                   subcubes->num_subcubes());
       return Status::OK();
     }
-    if (cmd == "subcube-load") {
-      DWRED_RETURN_IF_ERROR(RequireSubcubes());
-      DWRED_ASSIGN_OR_RETURN(std::string csv, ReadFile(rest));
-      MultidimensionalObject batch(fact_type, dims, measures);
-      DWRED_RETURN_IF_ERROR(ReadFactCsv(&batch, csv));
-      DWRED_RETURN_IF_ERROR(durable ? durable->InsertFacts(batch)
-                                    : subcubes->InsertBottomFacts(batch));
-      std::printf("loaded %zu facts into the bottom subcube\n",
-                  batch.num_facts());
-      return Status::OK();
-    }
     if (cmd == "subcube-layout") {
       DWRED_RETURN_IF_ERROR(RequireSubcubes());
       std::printf("%s", CurSubcubes().DescribeLayout().c_str());
-      return Status::OK();
-    }
-    if (cmd == "subcube-sync") {
-      DWRED_RETURN_IF_ERROR(RequireSubcubes());
-      DWRED_ASSIGN_OR_RETURN(TimeGranule day, ParseGranule(rest));
-      if (day.unit != TimeUnit::kDay) {
-        return Status::InvalidArgument("expected a day, e.g. 2000/11/5");
-      }
-      size_t migrated = 0;
-      if (durable) {
-        DWRED_RETURN_IF_ERROR(durable->SynchronizePass(day.index, &migrated));
-      } else {
-        DWRED_ASSIGN_OR_RETURN(migrated, subcubes->Synchronize(day.index));
-      }
-      std::printf("synchronized at %s: %zu rows migrated (%s total)\n",
-                  rest.c_str(), migrated,
-                  HumanBytes(CurSubcubes().TotalBytes()).c_str());
-      return Status::OK();
-    }
-    if (cmd == "subcube-query") {
-      DWRED_RETURN_IF_ERROR(RequireSubcubes());
-      std::istringstream args(rest);
-      std::string date;
-      args >> date;
-      std::string gran_text;
-      std::getline(args, gran_text);
-      DWRED_ASSIGN_OR_RETURN(TimeGranule day, ParseGranule(date));
-      DWRED_ASSIGN_OR_RETURN(
-          auto gran,
-          ParseGranularityList(CurSubcubes().context(), Trim(gran_text)));
-      DWRED_ASSIGN_OR_RETURN(
-          MultidimensionalObject result,
-          CurSubcubes().Query(nullptr, &gran, day.index,
-                              /*assume_synchronized=*/false));
-      std::printf("subcube-query: %zu cells\n", result.num_facts());
-      for (FactId f = 0; f < result.num_facts() && f < 20; ++f) {
-        std::printf("  %s\n", result.FormatFact(f).c_str());
-      }
-      return Status::OK();
-    }
-    if (cmd == "explain") {
-      DWRED_RETURN_IF_ERROR(RequireSubcubes());
-      // explain <date> <granularity list> [where <predicate>]: the query runs
-      // for real (synchronized + parallel, the pruned path) and its profile
-      // is printed instead of its rows.
-      std::string head = rest;
-      std::string pred_text;
-      size_t where_pos = rest.find(" where ");
-      if (where_pos != std::string::npos) {
-        head = rest.substr(0, where_pos);
-        pred_text = std::string(Trim(rest.substr(where_pos + 7)));
-      }
-      std::istringstream args(head);
-      std::string date;
-      args >> date;
-      std::string gran_text;
-      std::getline(args, gran_text);
-      DWRED_ASSIGN_OR_RETURN(TimeGranule day, ParseGranule(date));
-      DWRED_ASSIGN_OR_RETURN(
-          auto gran,
-          ParseGranularityList(CurSubcubes().context(), Trim(gran_text)));
-      std::shared_ptr<PredExpr> pred;
-      if (!pred_text.empty()) {
-        DWRED_ASSIGN_OR_RETURN(
-            pred, ParsePredicate(CurSubcubes().context(), pred_text));
-      }
-      obs::OpProfile profile;
-      DWRED_ASSIGN_OR_RETURN(
-          MultidimensionalObject result,
-          CurSubcubes().Query(pred.get(), &gran, day.index,
-                              /*assume_synchronized=*/true, /*parallel=*/true,
-                              /*pinned_epoch=*/nullptr, &profile));
-      if (profile.op.empty()) {
-        std::printf("explain: profiling disabled (DWRED_PROFILE_DISABLED)\n");
-      } else {
-        std::printf("%s", profile.Render().c_str());
-      }
-      std::printf("result: %zu cells\n", result.num_facts());
       return Status::OK();
     }
     if (cmd == "slowlog") {
@@ -709,184 +666,7 @@ struct Shell {
       }
       return Status::OK();
     }
-    if (cmd == "cache") {
-      DWRED_RETURN_IF_ERROR(RequireSubcubes());
-      cache::WarehouseCache& wc = CurSubcubes().warehouse_cache();
-      if (Trim(rest) == "clear") {
-        wc.Clear();
-        std::printf("cache cleared\n");
-        return Status::OK();
-      }
-      if (!Trim(rest).empty()) {
-        return Status::InvalidArgument("usage: cache [clear]");
-      }
-      cache::WarehouseCache::Stats st = wc.GetStats();
-      auto& reg = obs::MetricsRegistry::Global();
-      std::printf("cache %s: epoch=%llu\n",
-                  cache::Enabled() ? "enabled" : "disabled (DWRED_CACHE_DISABLED)",
-                  static_cast<unsigned long long>(st.epoch));
-      std::printf("  query entries=%zu scanspec entries=%zu bytes=%s "
-                  "(budget %zu entries, %s)\n",
-                  st.query_entries, st.scanspec_entries,
-                  HumanBytes(st.bytes).c_str(), st.max_entries,
-                  HumanBytes(st.max_bytes).c_str());
-      std::printf("  query hits=%llu misses=%llu | scanspec hits=%llu "
-                  "misses=%llu | evictions=%llu invalidations=%llu\n",
-                  static_cast<unsigned long long>(
-                      reg.GetCounter("dwred_cache_query_hits", "").Value()),
-                  static_cast<unsigned long long>(
-                      reg.GetCounter("dwred_cache_query_misses", "").Value()),
-                  static_cast<unsigned long long>(
-                      reg.GetCounter("dwred_cache_scanspec_hits", "").Value()),
-                  static_cast<unsigned long long>(
-                      reg.GetCounter("dwred_cache_scanspec_misses", "").Value()),
-                  static_cast<unsigned long long>(
-                      reg.GetCounter("dwred_cache_evictions", "").Value()),
-                  static_cast<unsigned long long>(
-                      reg.GetCounter("dwred_cache_invalidations", "").Value()));
-      return Status::OK();
-    }
     return Status::InvalidArgument("unknown command: " + cmd);
-  }
-};
-
-/// Remote mode (--connect=host:port): the same script surface, but every
-/// command is shipped to a dwredd as one protocol request (docs/SERVER.md).
-/// Commands that build a warehouse in-process (init, attach, reduce, ...)
-/// are rejected — the server owns the warehouse. Transport failures (server
-/// gone mid-command, short read, EPIPE) surface as Status::Unavailable and
-/// exit code 6, never a hang or a silent exit 0.
-struct RemoteShell {
-  net::Client client;
-  uint32_t deadline_ms = 0;
-  uint64_t max_rows = 0;
-  std::string staged_actions;  ///< `action` lines awaiting `apply <date>`
-
-  net::Request Base(net::Command cmd) const {
-    net::Request req;
-    req.cmd = cmd;
-    req.deadline_ms = deadline_ms;
-    req.max_rows = max_rows;
-    return req;
-  }
-
-  /// Ships one request; a non-OK response becomes its Status, an OK response
-  /// prints its body.
-  Status CallAndPrint(const net::Request& req) {
-    DWRED_ASSIGN_OR_RETURN(net::Response resp, client.Call(req));
-    if (resp.code != StatusCode::kOk) {
-      return Status(resp.code, resp.message);
-    }
-    if (!resp.body.empty()) {
-      std::printf("%s%s", resp.body.c_str(),
-                  resp.body.back() == '\n' ? "" : "\n");
-    }
-    return Status::OK();
-  }
-
-  Status Run(std::string_view cmdline) {
-    std::string_view line = Trim(cmdline);
-    if (line.empty() || line[0] == '#') return Status::OK();
-    std::istringstream in{std::string(line)};
-    std::string cmd;
-    in >> cmd;
-    std::string rest;
-    std::getline(in, rest);
-    rest = std::string(Trim(rest));
-
-    if (cmd == "echo") {
-      std::printf("%s\n", rest.c_str());
-      return Status::OK();
-    }
-    if (cmd == "ping") {
-      return CallAndPrint(Base(net::Command::kPing));
-    }
-    if (cmd == "subcube-query" || cmd == "explain") {
-      // subcube-query <date> <granularity list> [where <predicate>]
-      std::string head = rest;
-      std::string pred_text;
-      size_t where_pos = rest.find(" where ");
-      if (where_pos != std::string::npos) {
-        head = rest.substr(0, where_pos);
-        pred_text = std::string(Trim(rest.substr(where_pos + 7)));
-      }
-      std::istringstream args(head);
-      std::string date;
-      args >> date;
-      std::string gran_text;
-      std::getline(args, gran_text);
-      DWRED_ASSIGN_OR_RETURN(TimeGranule day, ParseGranule(date));
-      net::Request req = Base(net::Command::kQuery);
-      req.now_day = day.index;
-      req.a = pred_text;
-      req.b = std::string(Trim(gran_text));
-      if (cmd == "explain") {
-        // Match the local explain: the synchronized + parallel pruned path,
-        // profile rendered after the result.
-        req.flags = net::kQuerySynchronized | net::kQueryParallel |
-                    net::kQueryExplain;
-      }
-      return CallAndPrint(req);
-    }
-    if (cmd == "subcube-sync") {
-      DWRED_ASSIGN_OR_RETURN(TimeGranule day, ParseGranule(rest));
-      if (day.unit != TimeUnit::kDay) {
-        return Status::InvalidArgument("expected a day, e.g. 2000/11/5");
-      }
-      net::Request req = Base(net::Command::kSynchronize);
-      req.now_day = day.index;
-      return CallAndPrint(req);
-    }
-    if (cmd == "load-facts" || cmd == "subcube-load") {
-      DWRED_ASSIGN_OR_RETURN(std::string csv, ReadFile(rest));
-      net::Request req = Base(net::Command::kInsert);
-      req.a = std::move(csv);
-      return CallAndPrint(req);
-    }
-    if (cmd == "action") {
-      if (rest.empty()) return Status::InvalidArgument("action: empty text");
-      staged_actions += rest;
-      staged_actions += '\n';
-      std::printf("staged (remote): %s\n", rest.c_str());
-      return Status::OK();
-    }
-    if (cmd == "apply") {
-      DWRED_ASSIGN_OR_RETURN(TimeGranule day, ParseGranule(rest));
-      if (day.unit != TimeUnit::kDay) {
-        return Status::InvalidArgument("expected a day, e.g. 2000/11/5");
-      }
-      net::Request req = Base(net::Command::kSpecChange);
-      req.now_day = day.index;
-      req.a = staged_actions;
-      Status st = CallAndPrint(req);
-      if (st.ok()) staged_actions.clear();
-      return st;
-    }
-    if (cmd == "metrics" || cmd == "stats") {
-      return CallAndPrint(Base(net::Command::kStats));
-    }
-    if (cmd == "metrics-json") {
-      net::Request req = Base(net::Command::kStats);
-      req.flags = net::kStatsJson;
-      return CallAndPrint(req);
-    }
-    if (cmd == "cache") {
-      if (!rest.empty() && rest != "clear") {
-        return Status::InvalidArgument("usage: cache [clear]");
-      }
-      net::Request req = Base(net::Command::kCacheCtl);
-      req.a = rest;
-      return CallAndPrint(req);
-    }
-    if (cmd == "snapshot-crc") {
-      return CallAndPrint(Base(net::Command::kSnapshotCrc));
-    }
-    if (cmd == "shutdown") {
-      return CallAndPrint(Base(net::Command::kShutdown));
-    }
-    return Status::InvalidArgument(
-        "command not available over --connect (the server owns the "
-        "warehouse): " + cmd);
   }
 };
 
@@ -921,6 +701,16 @@ void PrintHelp(const char* argv0) {
       "                     (docs/SERVER.md); deadline/budget flags travel\n"
       "                     in the request and are enforced server-side\n"
       "  stats              dump the metrics registry after the script\n"
+      "\n"
+      "shared commands (the same bytes in process and under --connect;\n"
+      "<date> is a day, e.g. 2000/11/5):\n"
+      "  ping | snapshot-crc | metrics | metrics-json | cache [clear]\n"
+      "  load-facts <csv> | subcube-load <csv> | subcube-sync <date>\n"
+      "  subcube-query <date> [<granularities>] [where <predicate>]\n"
+      "  explain <date> [<granularities>] [where <predicate>]\n"
+      "  action [name:] <text> | apply <date> | echo <text>\n"
+      "  shutdown (--connect only)\n"
+      "local-only commands: see the header of tools/dwredctl.cpp\n"
       "\n"
       "exit codes:\n"
       "  0  success\n"
@@ -1040,46 +830,29 @@ int main(int argc, char** argv) {
     script = r.take();
   }
 
-  if (!connect_spec.empty()) {
-    // Remote mode: parse, connect, then ship the script line by line. A
-    // transport failure mid-stream (server killed, short read, EPIPE) stops
-    // the script with exit 6 and the Status on stderr — never exit 0.
-    auto hp = net::ParseHostPort(connect_spec);
-    if (!hp.ok()) {
-      std::fprintf(stderr, "--connect: %s\n", hp.status().ToString().c_str());
-      return 2;
-    }
-    auto conn = net::Client::Connect(hp.value().host, hp.value().port);
-    if (!conn.ok()) {
-      std::fprintf(stderr, "--connect: %s\n",
-                   conn.status().ToString().c_str());
-      return 6;
-    }
-    RemoteShell remote;
-    remote.client = conn.take();
-    if (deadline_ms > 0) remote.deadline_ms = static_cast<uint32_t>(deadline_ms);
-    if (max_rows > 0) remote.max_rows = static_cast<uint64_t>(max_rows);
-    int rrc = 0;
-    size_t line_no = 0;
-    for (const std::string& line : Split(script, '\n')) {
-      ++line_no;
-      Status st = remote.Run(line);
-      if (!st.ok()) {
-        std::fprintf(stderr, "line %zu: %s\n  %s\n", line_no,
-                     st.ToString().c_str(), line.c_str());
-        rrc = ExitCodeFor(st.code());
-        break;
-      }
-    }
-    if (dump_stats) {
-      std::printf("%s", obs::MetricsRegistry::Global().RenderText().c_str());
-    }
-    return rrc;
-  }
-
   int rc = 0;
   {
     Shell shell;
+    if (!connect_spec.empty()) {
+      // Remote mode: the same loop, with every shared command shipped to
+      // the dwredd. A transport failure mid-stream (server killed, short
+      // read, EPIPE) stops the script with exit 6 — never exit 0.
+      auto hp = net::ParseHostPort(connect_spec);
+      if (!hp.ok()) {
+        std::fprintf(stderr, "--connect: %s\n", hp.status().ToString().c_str());
+        return 2;
+      }
+      auto conn = net::Client::Connect(hp.value().host, hp.value().port);
+      if (!conn.ok()) {
+        std::fprintf(stderr, "--connect: %s\n",
+                     conn.status().ToString().c_str());
+        return 6;
+      }
+      shell.remote = true;
+      shell.client = conn.take();
+      shell.deadline_ms = static_cast<uint32_t>(deadline_ms);
+      shell.max_rows = static_cast<uint64_t>(max_rows);
+    }
     size_t line_no = 0;
     for (const std::string& line : Split(script, '\n')) {
       ++line_no;
