@@ -8,7 +8,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 
+#include "io/atomic_file.h"
 #include "obs/logging.h"
 #include "obs/metrics.h"
 #include "reduce/semantics.h"
@@ -84,6 +86,27 @@ inline T TakeOrAbort(Result<T> r) {
     std::abort();
   }
   return r.take();
+}
+
+/// CRC32 over a full-fidelity serialization of a query result — the
+/// differential check: every variant and thread count of a bench row must
+/// report the same value, and tools/bench_diff.py compares it against the
+/// committed baselines exactly.
+inline uint32_t SnapshotCrc(const MultidimensionalObject& mo) {
+  std::ostringstream out;
+  out << mo.num_facts() << "\n";
+  for (FactId f = 0; f < mo.num_facts(); ++f) {
+    out << mo.FactName(f) << "|";
+    for (size_t d = 0; d < mo.num_dimensions(); ++d) {
+      out << mo.Coord(f, static_cast<DimensionId>(d)) << ",";
+    }
+    out << "|";
+    for (size_t m = 0; m < mo.num_measures(); ++m) {
+      out << mo.Measure(f, static_cast<MeasureId>(m)) << ",";
+    }
+    out << "\n";
+  }
+  return Crc32(out.str());
 }
 
 /// Canonical 3-year click workload with `n` facts.

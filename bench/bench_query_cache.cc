@@ -12,10 +12,8 @@
 #include "bench_common.h"
 
 #include <cstdlib>
-#include <sstream>
 
 #include "exec/thread_pool.h"
-#include "io/atomic_file.h"
 #include "subcube/manager.h"
 
 namespace dwred::bench {
@@ -62,25 +60,6 @@ Warehouse MakeWarehouse(size_t per_month) {
   return wh;
 }
 
-/// CRC32 over a full-fidelity serialization of the result — the differential
-/// check: every variant and thread count must report the same value.
-uint32_t SnapshotCrc(const MultidimensionalObject& mo) {
-  std::ostringstream out;
-  out << mo.num_facts() << "\n";
-  for (FactId f = 0; f < mo.num_facts(); ++f) {
-    out << mo.FactName(f) << "|";
-    for (size_t d = 0; d < mo.num_dimensions(); ++d) {
-      out << mo.Coord(f, static_cast<DimensionId>(d)) << ",";
-    }
-    out << "|";
-    for (size_t m = 0; m < mo.num_measures(); ++m) {
-      out << mo.Measure(f, static_cast<MeasureId>(m)) << ",";
-    }
-    out << "\n";
-  }
-  return Crc32(out.str());
-}
-
 void RunRepeatedQuery(benchmark::State& state, bool cache_enabled,
                       int threads) {
   if (cache_enabled) {
@@ -119,52 +98,6 @@ void BM_RepeatedQueryNoCache(benchmark::State& state) {
   RunRepeatedQuery(state, /*cache_enabled=*/false, /*threads=*/1);
 }
 BENCHMARK(BM_RepeatedQueryNoCache)->Arg(10000)->Unit(benchmark::kMillisecond);
-
-// Profiling-overhead differential (docs/OBSERVABILITY.md): the warm
-// cached-query path with profiling on — its steady-state cost, per-op latency
-// histogram plus the flight recorder's admission check, with no EXPLAIN
-// requested — must stay within a few percent of the DWRED_PROFILE_DISABLED
-// path. Both variants serve the same bytes (snapshot_crc).
-void RunProfiledWarmQuery(benchmark::State& state, bool profiling) {
-  if (profiling) {
-    ::unsetenv("DWRED_PROFILE_DISABLED");
-  } else {
-    ::setenv("DWRED_PROFILE_DISABLED", "1", 1);
-  }
-  ::unsetenv("DWRED_CACHE_DISABLED");
-  Warehouse wh = MakeWarehouse(static_cast<size_t>(state.range(0)));
-  exec::ThreadPool::ResetGlobal(1);
-  uint32_t crc = 0;
-  for (auto _ : state) {
-    auto r = wh.mgr->Query(wh.pred.get(), &wh.gran, wh.t,
-                           /*assume_synchronized=*/true, /*parallel=*/false);
-    if (!r.ok()) {
-      state.SkipWithError(r.status().ToString().c_str());
-      return;
-    }
-    crc = SnapshotCrc(r.value());
-    benchmark::DoNotOptimize(crc);
-  }
-  state.counters["snapshot_crc"] = static_cast<double>(crc);
-  state.counters["profiling"] = profiling ? 1 : 0;
-  state.SetItemsProcessed(state.iterations());
-  exec::ThreadPool::ResetGlobal(0);
-  ::unsetenv("DWRED_PROFILE_DISABLED");
-}
-
-void BM_RepeatedQueryWarmProfiled(benchmark::State& state) {
-  RunProfiledWarmQuery(state, /*profiling=*/true);
-}
-BENCHMARK(BM_RepeatedQueryWarmProfiled)
-    ->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_RepeatedQueryWarmUnprofiled(benchmark::State& state) {
-  RunProfiledWarmQuery(state, /*profiling=*/false);
-}
-BENCHMARK(BM_RepeatedQueryWarmUnprofiled)
-    ->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
 
 // Thread sweep x cache on/off: eight rows in the sidecar, one snapshot_crc.
 void BM_RepeatedQuerySweep(benchmark::State& state) {

@@ -1,4 +1,4 @@
-// B9 — zone-map pruning on the segmented fact store (docs/STORAGE.md): a
+// B10 — zone-map pruning on the segmented fact store (docs/STORAGE.md): a
 // selective predicate over the synchronized retail warehouse lets the scan
 // planner drop whole segments whose time zone maps miss the queried window,
 // before any row is touched. The no-prune baseline runs the same query with
@@ -7,15 +7,25 @@
 //
 // Facts are inserted sorted by day (with the day span preregistered so
 // ValueIds ascend chronologically) — the layout an incrementally-loaded
-// warehouse converges to — giving sealed segments tight time zone maps.
+// warehouse converges to — giving sealed segments tight time zone maps,
+// RLE-compressed date runs and dict-packed low-cardinality dimensions.
+//
+// Every row is cold: the bench disables the result and program caches
+// itself, so each iteration plans, compiles and scans. Rows report
+// `snapshot_crc` (identical across thread counts; tools/bench_diff.py checks
+// it against bench/results/scan_prune_sweep.json) and the sealed segments'
+// resident bytes against their row-equivalent size (B13).
 
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 
 #include "exec/thread_pool.h"
 #include "scan/scan.h"
+#include "storage/fact_table.h"
 #include "subcube/manager.h"
 
 namespace dwred::bench {
@@ -77,9 +87,27 @@ double ScanCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name, "").Value();
 }
 
+/// Resident vs row-equivalent bytes summed over the warehouse's *sealed*
+/// segments (the tail stays plain by design and would dilute the ratio).
+void SealedBytes(const SubcubeManager& m, size_t* resident, size_t* row_eq) {
+  *resident = 0;
+  *row_eq = 0;
+  for (size_t i = 0; i < m.num_subcubes(); ++i) {
+    const FactTable& t = m.subcube(i).table;
+    const size_t row_width =
+        t.num_dims() * sizeof(ValueId) + t.num_measures() * sizeof(int64_t);
+    for (size_t s = 0; s < t.num_segments(); ++s) {
+      if (!t.SegmentSealed(s)) continue;
+      *resident += t.SegmentBytes(s);
+      *row_eq += t.SegmentPhysicalRows(s) * row_width;
+    }
+  }
+}
+
 void RunQuerySweep(benchmark::State& state, const char* pred_text) {
   const size_t facts = static_cast<size_t>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
+  ::setenv("DWRED_CACHE_DISABLED", "1", 1);
   RetailWarehouse wh = MakeRetailWarehouse(facts);
   std::shared_ptr<PredExpr> pred =
       ParsePredicate(wh.mgr->context(), pred_text).take();
@@ -88,7 +116,7 @@ void RunQuerySweep(benchmark::State& state, const char* pred_text) {
   const double scanned0 = ScanCounter("dwred_scan_segments_scanned");
   const double pruned0 = ScanCounter("dwred_scan_segments_pruned");
   const double skipped0 = ScanCounter("dwred_scan_rows_skipped");
-  size_t result_facts = 0;
+  std::optional<MultidimensionalObject> result;
   for (auto _ : state) {
     auto r = wh.mgr->Query(pred.get(), &wh.gran, wh.t,
                            /*assume_synchronized=*/true, /*parallel=*/true);
@@ -96,12 +124,17 @@ void RunQuerySweep(benchmark::State& state, const char* pred_text) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
     }
-    result_facts = r.value().num_facts();
-    benchmark::DoNotOptimize(result_facts);
+    result = r.take();
+    benchmark::DoNotOptimize(result->num_facts());
   }
   const double iters = static_cast<double>(state.iterations());
+  size_t sealed = 0, sealed_row = 0;
+  SealedBytes(*wh.mgr, &sealed, &sealed_row);
   state.counters["threads"] = threads;
-  state.counters["result_facts"] = static_cast<double>(result_facts);
+  state.counters["result_facts"] = static_cast<double>(result->num_facts());
+  state.counters["snapshot_crc"] = static_cast<double>(SnapshotCrc(*result));
+  state.counters["bytes_sealed"] = static_cast<double>(sealed);
+  state.counters["bytes_sealed_row"] = static_cast<double>(sealed_row);
   state.counters["segments_scanned"] =
       (ScanCounter("dwred_scan_segments_scanned") - scanned0) / iters;
   state.counters["segments_pruned"] =
@@ -110,6 +143,7 @@ void RunQuerySweep(benchmark::State& state, const char* pred_text) {
       (ScanCounter("dwred_scan_rows_skipped") - skipped0) / iters;
   state.SetItemsProcessed(static_cast<int64_t>(facts) * state.iterations());
   exec::ThreadPool::ResetGlobal(0);  // back to the DWRED_THREADS default
+  ::unsetenv("DWRED_CACHE_DISABLED");
 }
 
 // Selective window: 2000 H1 sits entirely in the quarter tier, so the bottom

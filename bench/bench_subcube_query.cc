@@ -7,11 +7,13 @@
 // Expected shape: the synchronized path's cost tracks resident rows; the
 // un-synchronized path first routes every stored row once (the synchronize
 // plan, read-only) and then folds each cube's routed rows, so it costs more —
-// the price of querying without waiting for synchronization. Run with
-// DWRED_CACHE_DISABLED=1: otherwise every iteration after the first is a
-// result-cache hit.
+// the price of querying without waiting for synchronization. Every row is
+// cold: the bench disables the result and program caches itself, since every
+// iteration after the first would otherwise be a result-cache hit.
 
 #include "bench_common.h"
+
+#include <cstdlib>
 
 #include "exec/thread_pool.h"
 #include "subcube/manager.h"
@@ -28,6 +30,7 @@ struct Warehouse {
 };
 
 Warehouse MakeWarehouse(size_t per_month, bool leave_unsynced) {
+  ::setenv("DWRED_CACHE_DISABLED", "1", 1);
   Warehouse wh;
   ClickstreamWorkload w = MakeWorkload(0);
   wh.time_dim = w.time_dim;

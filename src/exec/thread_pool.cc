@@ -143,15 +143,11 @@ struct ThreadPool::Impl {
     // another op) runs it.
     obs::ScopedTraceContext trace_scope(t.op->ctx);
     runtime::ScopedOpContext op_scope(t.op->rctx);
-    if constexpr (obs::kObsEnabled) {
-      auto t0 = std::chrono::steady_clock::now();
-      (*t.op->fn)(t.shard, s.begin, s.end);
-      m.shard_seconds.Record(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-    } else {
-      (*t.op->fn)(t.shard, s.begin, s.end);
-    }
+    auto t0 = std::chrono::steady_clock::now();
+    (*t.op->fn)(t.shard, s.begin, s.end);
+    m.shard_seconds.Record(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count());
     // Decrement and notify under op->mu. If the decrement happened outside
     // the mutex, the submitter could observe remaining == 0, take and release
     // its confirming lock, and destroy Op before this thread ever acquired

@@ -57,11 +57,7 @@ Result<std::string> QueryBody(const Request& req, const SubcubeManager& mgr) {
                 (req.flags & kQueryParallel) != 0,
                 /*pinned_epoch=*/nullptr, explain ? &profile : nullptr));
   std::string body = RenderResult(result);
-  if (explain) {
-    body += profile.op.empty()
-                ? "explain: profiling disabled (DWRED_PROFILE_DISABLED)\n"
-                : profile.Render();
-  }
+  if (explain) body += profile.Render();
   return body;
 }
 

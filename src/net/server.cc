@@ -396,8 +396,7 @@ Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
           .count();
   const std::string op = std::string("net.") + CommandName(req.cmd);
   obs::OpLatencyHistogram(op).Record(static_cast<double>(wall_us) * 1e-6);
-  if (obs::ProfilingEnabled() &&
-      obs::FlightRecorder::Global().WouldRecord(wall_us)) {
+  if (obs::FlightRecorder::Global().WouldRecord(wall_us)) {
     obs::OpProfile profile;
     profile.op = op;
     profile.epoch = mgr_->epoch();

@@ -37,7 +37,6 @@ std::string BuildInfoLabels() {
 #else
   labels += ",compiler=\"unknown\"";
 #endif
-  labels += kObsEnabled ? ",obs=\"on\"" : ",obs=\"off\"";
   return labels;
 }
 
@@ -58,10 +57,6 @@ Histogram::Histogram(std::vector<double> upper_bounds)
 }
 
 void Histogram::Record(double value) {
-  if constexpr (!kObsEnabled) {
-    (void)value;
-    return;
-  }
   // First bucket whose (inclusive) upper bound admits the sample.
   size_t i = std::lower_bound(bounds_.begin(), bounds_.end(), value) -
              bounds_.begin();

@@ -12,10 +12,6 @@
 // *inclusive* upper bounds (Prometheus "le" semantics): a sample v lands in
 // the first bucket whose bound b satisfies v <= b; samples above every bound
 // land in the implicit +Inf bucket.
-//
-// Compile with -DDWRED_OBS_DISABLED (CMake option DWRED_OBS_DISABLED) to
-// stub out every mutation at compile time; registration and rendering keep
-// working so callers need no #ifdefs.
 
 #include <atomic>
 #include <cstdint>
@@ -29,21 +25,11 @@
 
 namespace dwred::obs {
 
-#ifdef DWRED_OBS_DISABLED
-inline constexpr bool kObsEnabled = false;
-#else
-inline constexpr bool kObsEnabled = true;
-#endif
-
 /// Monotonically increasing event count.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-    if constexpr (kObsEnabled) {
-      v_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    v_.fetch_add(delta, std::memory_order_relaxed);
   }
   uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
   void Reset() { v_.store(0, std::memory_order_relaxed); }
@@ -55,16 +41,8 @@ class Counter {
 /// Instantaneous signed level (e.g. live rows, live bytes).
 class Gauge {
  public:
-  void Set(int64_t v) {
-    if constexpr (kObsEnabled) v_.store(v, std::memory_order_relaxed);
-  }
-  void Add(int64_t delta) {
-    if constexpr (kObsEnabled) {
-      v_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
-  }
+  void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
+  void Add(int64_t delta) { v_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t Value() const { return v_.load(std::memory_order_relaxed); }
   void Reset() { v_.store(0, std::memory_order_relaxed); }
 

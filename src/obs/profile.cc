@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "common/env.h"
@@ -10,14 +9,6 @@
 #include "obs/logging.h"
 
 namespace dwred::obs {
-
-bool ProfilingEnabled() {
-  // A non-empty value disables, mirroring DWRED_CACHE_DISABLED (an *empty*
-  // setting counts as enabled, so tests can pin the variable); re-read per
-  // call so tests can setenv/unsetenv around individual cases.
-  const char* env = std::getenv("DWRED_PROFILE_DISABLED");
-  return env == nullptr || env[0] == '\0';
-}
 
 uint64_t Fnv1a64(std::string_view s) {
   uint64_t h = 14695981039346656037ull;  // FNV offset basis

@@ -6,9 +6,10 @@
 // An OpProfile is filled by one engine operation (SubcubeManager::Query,
 // Synchronize, Reduce pass) as it runs: pinned epoch, cache outcome and
 // fingerprint, per-subcube fan-out, segments scanned vs. pruned, rows
-// skipped, and per-stage wall times. Callers pass a profile in when they want
-// an EXPLAIN (dwredctl `explain`, tests, library users); passing nullptr
-// costs nothing.
+// skipped, and per-stage wall times. Profiling is always on: callers pass a
+// profile in when they want an EXPLAIN (dwredctl `explain`, tests, library
+// users); without one the operation fills a local profile that only the
+// flight recorder reads.
 //
 // The FlightRecorder is always on (bounded, lock-cheap): operations report
 // their duration after the fact, and anything at or above the slow threshold
@@ -17,10 +18,6 @@
 // defeated? wide fan-out?). `dwredctl slowlog` renders both. Sub-threshold
 // operations pay one atomic load and a compare — the detail string is only
 // built for admitted entries.
-//
-// Opt-out: set DWRED_PROFILE_DISABLED to a non-empty value to make
-// ProfilingEnabled() false; engine call sites then skip profile filling and
-// flight recording entirely.
 //
 // Env knobs (read at first use; ReloadConfigFromEnv() for tests):
 //   DWRED_SLOWLOG_TOPK    board size, default 16
@@ -39,11 +36,6 @@
 #include "obs/metrics.h"
 
 namespace dwred::obs {
-
-/// False when the DWRED_PROFILE_DISABLED environment variable is set to a
-/// non-empty value (same convention as DWRED_CACHE_DISABLED). Re-read on
-/// every call so tests can flip it.
-bool ProfilingEnabled();
 
 /// FNV-1a 64-bit — stable, dependency-free fingerprint for cache keys.
 uint64_t Fnv1a64(std::string_view s);

@@ -127,7 +127,6 @@ TraceSpan::TraceSpan(std::string name, Histogram* latency)
 }
 
 void TraceSpan::Open() {
-  if constexpr (!kObsEnabled) return;
   start_ = std::chrono::steady_clock::now();
   if (!TraceBuffer::Global().enabled()) return;
   traced_ = true;
@@ -139,7 +138,6 @@ void TraceSpan::Open() {
 }
 
 TraceSpan::~TraceSpan() {
-  if constexpr (!kObsEnabled) return;
   auto end = std::chrono::steady_clock::now();
   double seconds = std::chrono::duration<double>(end - start_).count();
   if (latency_) latency_->Record(seconds);
@@ -165,17 +163,11 @@ TraceSpan::~TraceSpan() {
 }
 
 void TraceSpan::AddField(const char* key, int64_t value) {
-  if constexpr (!kObsEnabled) {
-    (void)key;
-    (void)value;
-    return;
-  }
   if (!TraceBuffer::Global().enabled()) return;
   fields_.emplace_back(key, value);
 }
 
 double TraceSpan::ElapsedSeconds() const {
-  if constexpr (!kObsEnabled) return 0.0;
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start_)
       .count();

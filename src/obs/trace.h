@@ -25,8 +25,7 @@
 // the span forest (dwredctl trace-tree).
 //
 // Spans are cheap when tracing is off: two clock reads plus one histogram
-// record, no id allocation, no thread-local writes; with -DDWRED_OBS_DISABLED
-// they compile to (almost) nothing.
+// record, no id allocation, no thread-local writes.
 
 #include <chrono>
 #include <cstdint>

@@ -161,8 +161,7 @@ Result<SelectionResult> SelectFromScan(
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,
-    const std::shared_ptr<const vm::PredProgram>& compiled,
-    bool materialize_names) {
+    const std::shared_ptr<const vm::PredProgram>& compiled) {
   DWRED_CHECK(dims.size() == t.num_dims());
   DWRED_CHECK(measures.size() == t.num_measures());
   auto& registry = obs::MetricsRegistry::Global();
@@ -219,9 +218,7 @@ Result<SelectionResult> SelectFromScan(
             // dimensions, so the survivors append unchecked.
             FactId nf = out.mo.AppendFactUnchecked(coords, meas);
             // The names Select over the full ToMO would have produced.
-            if (materialize_names) {
-              out.mo.SetFactName(nf, "fact_" + std::to_string(first + i));
-            }
+            out.mo.SetFactName(nf, "fact_" + std::to_string(first + i));
             if (approach == SelectionApproach::kWeighted) {
               out.weights.push_back(w);
             }

@@ -41,18 +41,12 @@ Result<SelectionResult> Select(const MultidimensionalObject& mo,
 /// so output does not depend on pruning or thread count. `compiled` as in
 /// Select; when null every row is weighed by the tree interpreter. A null
 /// `pred` selects every planned row (weight 1).
-/// `materialize_names` (default true) stores the "fact_<row>" display names
-/// Select over the full ToMO would have produced. Callers that immediately
-/// aggregate the selection — which rebuilds facts and discards names — pass
-/// false to skip the per-survivor string materialization; result *query*
-/// bytes are unchanged because the intermediate MO never escapes.
 Result<SelectionResult> SelectFromScan(
     const FactTable& t, const scan::ScanPlan& plan, const PredExpr* pred,
     int64_t now_day, SelectionApproach approach, const std::string& fact_type,
     const std::vector<std::shared_ptr<Dimension>>& dims,
     const std::vector<MeasureType>& measures,
-    const std::shared_ptr<const vm::PredProgram>& compiled = nullptr,
-    bool materialize_names = true);
+    const std::shared_ptr<const vm::PredProgram>& compiled = nullptr);
 
 /// π[dims][measures](O): retains the given dimensions and measures; the fact
 /// set is unchanged (duplicate value combinations are kept, as in star
@@ -165,9 +159,8 @@ class AvailabilityFold {
 /// folded straight into its output group (AvailabilityFold), skipping the
 /// intermediate selection MO entirely. Byte-identical to
 ///   AggregateFormation(SelectFromScan(t, plan, pred, now_day, approach,
-///                      ..., compiled, /*materialize_names=*/false).mo,
-///                      target, kAvailability, /*track_provenance=*/false,
-///                      rollup)
+///                      ..., compiled).mo, target, kAvailability,
+///                      /*track_provenance=*/false, rollup)
 /// because rows are visited in the same ascending logical order, so group
 /// discovery order and measure fold order are unchanged
 /// (docs/COMPILATION.md). Availability approach only — the only one the

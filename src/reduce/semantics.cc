@@ -424,20 +424,18 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
   span.AddField("facts_out", static_cast<int64_t>(out.num_facts()));
   span.AddField("facts_aggregated", static_cast<int64_t>(facts_aggregated));
   span.AddField("facts_deleted", static_cast<int64_t>(facts_deleted));
-  if (obs::ProfilingEnabled()) {
-    obs::OpProfile prof;
-    prof.op = "reduce.pass";
-    prof.trace_id = span.context().trace_id;
-    prof.now_day = now_day;
-    prof.rows_scanned = static_cast<int64_t>(mo.num_facts());
-    prof.result_facts = static_cast<int64_t>(out.num_facts());
-    prof.AddCounter("facts_aggregated", static_cast<int64_t>(facts_aggregated));
-    prof.AddCounter("facts_deleted", static_cast<int64_t>(facts_deleted));
-    prof.total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-    static obs::Histogram& op_hist = obs::OpLatencyHistogram("reduce.pass");
-    op_hist.Record(prof.total_us * 1e-6);
-    obs::FlightRecorder::Global().Record(prof);
-  }
+  obs::OpProfile prof;
+  prof.op = "reduce.pass";
+  prof.trace_id = span.context().trace_id;
+  prof.now_day = now_day;
+  prof.rows_scanned = static_cast<int64_t>(mo.num_facts());
+  prof.result_facts = static_cast<int64_t>(out.num_facts());
+  prof.AddCounter("facts_aggregated", static_cast<int64_t>(facts_aggregated));
+  prof.AddCounter("facts_deleted", static_cast<int64_t>(facts_deleted));
+  prof.total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
+  static obs::Histogram& op_hist = obs::OpLatencyHistogram("reduce.pass");
+  op_hist.Record(prof.total_us * 1e-6);
+  obs::FlightRecorder::Global().Record(prof);
   return out;
 }
 

@@ -164,11 +164,9 @@ ScanPlan PlanTableScan(const FactTable& t, const ScanSpec& spec) {
       plan.rows_skipped += t.SegmentLiveRows(s);
     }
   }
-  if constexpr (obs::kObsEnabled) {
-    ScannedCounter().Increment(plan.segments_total - plan.segments_pruned);
-    PrunedCounter().Increment(plan.segments_pruned);
-    RowsSkippedCounter().Increment(plan.rows_skipped);
-  }
+  ScannedCounter().Increment(plan.segments_total - plan.segments_pruned);
+  PrunedCounter().Increment(plan.segments_pruned);
+  RowsSkippedCounter().Increment(plan.rows_skipped);
   return plan;
 }
 

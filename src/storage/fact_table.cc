@@ -81,10 +81,6 @@ void ZoneOverColumn(const T* col, const std::vector<uint8_t>& dead,
 }  // namespace
 
 void FactTable::UpdateFootprint(int64_t row_delta) {
-  if constexpr (!obs::kObsEnabled) {
-    (void)row_delta;
-    return;
-  }
   const size_t now_bytes = Bytes();
   const size_t now_row_bytes = RowEquivalentBytes();
   RowsGauge().Add(row_delta);
@@ -101,7 +97,6 @@ void FactTable::UpdateFootprint(int64_t row_delta) {
 }
 
 void FactTable::ReleaseFootprint() {
-  if constexpr (!obs::kObsEnabled) return;
   RowsGauge().Add(-static_cast<int64_t>(num_rows_));
   BytesGauge().Add(-static_cast<int64_t>(reported_bytes_));
   ColumnarBytesGauge().Add(-static_cast<int64_t>(reported_bytes_));
@@ -558,9 +553,7 @@ Result<size_t> FactTable::CompactCells(std::span<const AggFn> aggs) {
   // Append() tracks bytes against reported_bytes_, so the byte gauges are
   // already exact; rows were credited on top of the pre-rebuild contribution,
   // so withdraw that.
-  if constexpr (obs::kObsEnabled) {
-    RowsGauge().Add(-static_cast<int64_t>(before));
-  }
+  RowsGauge().Add(-static_cast<int64_t>(before));
   return before - num_rows_;
 }
 

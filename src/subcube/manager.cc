@@ -468,16 +468,15 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
       "wall time of one subcube synchronization pass (Section 7.2)");
   obs::TraceSpan span("subcube.sync", &sync_latency);
 
+  // Profile into the caller's slot when given one, else into a local so the
+  // flight recorder still sees every pass.
   obs::OpProfile local_profile;
-  obs::OpProfile* prof = nullptr;
-  if (obs::ProfilingEnabled()) {
-    prof = profile != nullptr ? profile : &local_profile;
-    prof->op = "subcube.sync";
-    prof->trace_id = span.context().trace_id;
-    prof->now_day = now_day;
-    prof->parallel = true;  // plan fans out over the pool; apply is serial
-    prof->fan_out = static_cast<int64_t>(cubes_.size());
-  }
+  obs::OpProfile* prof = profile != nullptr ? profile : &local_profile;
+  prof->op = "subcube.sync";
+  prof->trace_id = span.context().trace_id;
+  prof->now_day = now_day;
+  prof->parallel = true;  // plan fans out over the pool; apply is serial
+  prof->fan_out = static_cast<int64_t>(cubes_.size());
   obs::StageTimer stage_timer;
 
   // Abort finalization: stamp the profile with the abort outcome (so EXPLAIN
@@ -486,7 +485,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   // before bump.Arm() — the tables, epoch, and caches are untouched.
   auto abort_sync = [&](Status s) -> Status {
     s = runtime::CountAbort(std::move(s));
-    if (prof != nullptr && runtime::IsAbort(s.code())) {
+    if (runtime::IsAbort(s.code())) {
       prof->outcome = runtime::OutcomeLabel(s.code());
       prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
       obs::FlightRecorder::Global().Record(*prof);
@@ -497,7 +496,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   // Writers are exclusive: no query may observe a half-migrated manifest.
   std::unique_lock<std::shared_mutex> snapshot_lock(cache_->snapshot_mutex());
   EpochBumpGuard bump(*cache_);
-  if (prof != nullptr) prof->epoch = cache_->epoch();
+  prof->epoch = cache_->epoch();
 
   // Synchronization examines every row, so the whole pass is charged against
   // the operation's row budget once, up front: an over-budget pass never
@@ -512,7 +511,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
       PlanSynchronizeLocked(now_day, /*roll=*/true, prof, "cancel.sync.plan");
   if (!plans_r.ok()) return abort_sync(plans_r.status());
   const std::vector<CubeSyncPlan> plans = plans_r.take();
-  if (prof != nullptr) prof->AddStage("plan", stage_timer.LapMicros());
+  prof->AddStage("plan", stage_timer.LapMicros());
 
   std::vector<AggFn> aggs;
   for (const auto& m : measures_) aggs.push_back(m.agg);
@@ -561,7 +560,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
     erase.resize(cube.table.num_rows(), false);
     DWRED_RETURN_IF_ERROR(cube.table.EraseRows(erase));
   }
-  if (prof != nullptr) prof->AddStage("apply", stage_timer.LapMicros());
+  prof->AddStage("apply", stage_timer.LapMicros());
   // Cells that received data from several places are aggregated one final
   // time (Section 7.2).
   for (size_t i = 0; i < cubes_.size(); ++i) {
@@ -569,7 +568,7 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
     DWRED_ASSIGN_OR_RETURN(size_t folded, cubes_[i]->table.CompactCells(aggs));
     compacted += folded;
   }
-  if (prof != nullptr) prof->AddStage("compact", stage_timer.LapMicros());
+  prof->AddStage("compact", stage_timer.LapMicros());
 
   static obs::Counter& c_syncs = registry.GetCounter(
       "dwred_subcube_syncs", "completed synchronization passes");
@@ -589,15 +588,13 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   span.AddField("rows_migrated", static_cast<int64_t>(migrated));
   span.AddField("rows_deleted", static_cast<int64_t>(deleted));
   span.AddField("cells_compacted", static_cast<int64_t>(compacted));
-  if (prof != nullptr) {
-    prof->AddCounter("rows_migrated", static_cast<int64_t>(migrated));
-    prof->AddCounter("rows_deleted", static_cast<int64_t>(deleted));
-    prof->AddCounter("cells_compacted", static_cast<int64_t>(compacted));
-    prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-    static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.sync");
-    op_hist.Record(prof->total_us * 1e-6);
-    obs::FlightRecorder::Global().Record(*prof);
-  }
+  prof->AddCounter("rows_migrated", static_cast<int64_t>(migrated));
+  prof->AddCounter("rows_deleted", static_cast<int64_t>(deleted));
+  prof->AddCounter("cells_compacted", static_cast<int64_t>(compacted));
+  prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
+  static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.sync");
+  op_hist.Record(prof->total_us * 1e-6);
+  obs::FlightRecorder::Global().Record(*prof);
   DWRED_LOG(Debug) << "subcube sync at day " << now_day << ": " << migrated
                    << " rows migrated, " << deleted << " deleted, "
                    << compacted << " compacted";
@@ -945,18 +942,14 @@ Result<MultidimensionalObject> SubcubeManager::Query(
   c_queries.Increment();
 
   // Profile into the caller's slot when given one, else into a local so the
-  // flight recorder still sees every operation. DWRED_PROFILE_DISABLED
-  // short-circuits both (prof == nullptr costs nothing below).
+  // flight recorder still sees every operation.
   obs::OpProfile local_profile;
-  obs::OpProfile* prof = nullptr;
-  if (obs::ProfilingEnabled()) {
-    prof = profile != nullptr ? profile : &local_profile;
-    prof->op = "subcube.query";
-    prof->trace_id = span.context().trace_id;
-    prof->now_day = now_day;
-    prof->assume_synchronized = assume_synchronized;
-    prof->parallel = parallel;
-  }
+  obs::OpProfile* prof = profile != nullptr ? profile : &local_profile;
+  prof->op = "subcube.query";
+  prof->trace_id = span.context().trace_id;
+  prof->now_day = now_day;
+  prof->assume_synchronized = assume_synchronized;
+  prof->parallel = parallel;
   obs::StageTimer stage_timer;
 
   // Abort finalization: count the aborted query once, stamp the profile with
@@ -965,7 +958,7 @@ Result<MultidimensionalObject> SubcubeManager::Query(
   // query never pollutes the cache (docs/ROBUSTNESS.md).
   auto abort_query = [&](Status s) -> Status {
     s = runtime::CountAbort(std::move(s));
-    if (prof != nullptr && runtime::IsAbort(s.code())) {
+    if (runtime::IsAbort(s.code())) {
       prof->outcome = runtime::OutcomeLabel(s.code());
       prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
       prof->budget_rows_charged = runtime::CurrentOpContext().rows_charged();
@@ -1002,37 +995,31 @@ Result<MultidimensionalObject> SubcubeManager::Query(
 
   const std::string key = cache::QueryFingerprint(
       ctx_, pred, target, now_day, assume_synchronized, epoch);
-  if (prof != nullptr) {
-    prof->epoch = epoch;
-    prof->cache =
-        cache::Enabled() ? obs::CacheOutcome::kMiss : obs::CacheOutcome::kDisabled;
-  }
+  prof->epoch = epoch;
+  prof->cache =
+      cache::Enabled() ? obs::CacheOutcome::kMiss : obs::CacheOutcome::kDisabled;
   if (std::shared_ptr<const MultidimensionalObject> hit =
           cache_->LookupQuery(key)) {
     span.AddField("cache_hit", int64_t{1});
-    if (prof != nullptr) {
-      prof->cache = obs::CacheOutcome::kHit;
-      prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
-      prof->result_facts = static_cast<int64_t>(hit->num_facts());
-      prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-      static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.query");
-      op_hist.Record(prof->total_us * 1e-6);
-      // Hash the key only when someone will read the fingerprint: an EXPLAIN
-      // caller or a flight-recorder admission. Keeps the steady-state warm
-      // path within its overhead budget (bench_query_cache.cc).
-      if (profile != nullptr ||
-          obs::FlightRecorder::Global().WouldRecord(prof->total_us)) {
-        prof->fingerprint = obs::Fnv1a64(key);
-      }
-      obs::FlightRecorder::Global().Record(*prof);
+    prof->cache = obs::CacheOutcome::kHit;
+    prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
+    prof->result_facts = static_cast<int64_t>(hit->num_facts());
+    prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
+    static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.query");
+    op_hist.Record(prof->total_us * 1e-6);
+    // Hash the key only when someone will read the fingerprint: an EXPLAIN
+    // caller or a flight-recorder admission. Keeps the steady-state warm
+    // path within its overhead budget (query_profile_overhead.json).
+    if (profile != nullptr ||
+        obs::FlightRecorder::Global().WouldRecord(prof->total_us)) {
+      prof->fingerprint = obs::Fnv1a64(key);
     }
+    obs::FlightRecorder::Global().Record(*prof);
     return *hit;
   }
-  if (prof != nullptr) {
-    // Miss path: the scan dwarfs the hash, so always fingerprint.
-    prof->fingerprint = obs::Fnv1a64(key);
-    prof->AddStage("lookup", stage_timer.LapMicros());
-  }
+  // Miss path: the scan dwarfs the hash, so always fingerprint.
+  prof->fingerprint = obs::Fnv1a64(key);
+  prof->AddStage("lookup", stage_timer.LapMicros());
 
   std::shared_ptr<const vm::RollupProgram> roll;
   if (target != nullptr) roll = CompileRollup(*target);
@@ -1044,7 +1031,7 @@ Result<MultidimensionalObject> SubcubeManager::Query(
   // Wall clock of the whole fan-out (the scan/aggregate stages recorded by
   // QuerySubresultsLocked are per-cube sums, which overlap under parallel
   // evaluation).
-  if (prof != nullptr) prof->AddStage("subqueries_wall", stage_timer.LapMicros());
+  prof->AddStage("subqueries_wall", stage_timer.LapMicros());
   // Union of disjoint subresults ...
   MultidimensionalObject unioned(fact_type_, dims_, measures_);
   std::vector<ValueId> cell(dims_.size());
@@ -1074,17 +1061,15 @@ Result<MultidimensionalObject> SubcubeManager::Query(
   DWRED_CHECK(version_check == version_sum);
   cache_->InsertQuery(key,
                       std::make_shared<MultidimensionalObject>(unioned));
-  if (prof != nullptr) {
-    // The union + final combining aggregation materializes the result.
-    prof->AddStage("materialize", stage_timer.LapMicros());
-    prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
-    prof->budget_rows_charged = runtime::CurrentOpContext().rows_charged();
-    prof->result_facts = static_cast<int64_t>(unioned.num_facts());
-    prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-    static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.query");
-    op_hist.Record(prof->total_us * 1e-6);
-    obs::FlightRecorder::Global().Record(*prof);
-  }
+  // The union + final combining aggregation materializes the result.
+  prof->AddStage("materialize", stage_timer.LapMicros());
+  prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
+  prof->budget_rows_charged = runtime::CurrentOpContext().rows_charged();
+  prof->result_facts = static_cast<int64_t>(unioned.num_facts());
+  prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
+  static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.query");
+  op_hist.Record(prof->total_us * 1e-6);
+  obs::FlightRecorder::Global().Record(*prof);
   return unioned;
 }
 

@@ -156,10 +156,10 @@ class SubcubeManager {
   /// (docs/CACHING.md); a cache hit is byte-identical to re-evaluation.
   /// A non-null `profile` receives the query's EXPLAIN profile — pinned
   /// epoch, cache outcome + fingerprint, per-subcube fan-out, segments
-  /// scanned vs. pruned, rows skipped, per-stage wall times — when profiling
-  /// is enabled (DWRED_PROFILE_DISABLED unset; see obs/profile.h). On the
-  /// pruned path the profile's segment/row totals equal the
-  /// dwred_scan_segments_* / dwred_scan_rows_skipped counter deltas exactly.
+  /// scanned vs. pruned, rows skipped, per-stage wall times (see
+  /// obs/profile.h). On the pruned path the profile's segment/row totals
+  /// equal the dwred_scan_segments_* / dwred_scan_rows_skipped counter
+  /// deltas exactly.
   Result<MultidimensionalObject> Query(const PredExpr* pred,
                                        const std::vector<CategoryId>* target,
                                        int64_t now_day,

@@ -268,7 +268,6 @@ TEST(ColumnarTest, EmptyAndFullyPrunedScans) {
 }
 
 TEST(ColumnarTest, StorageByteGaugesSplit) {
-  if constexpr (!obs::kObsEnabled) GTEST_SKIP() << "obs disabled";
   auto& reg = obs::MetricsRegistry::Global();
   const int64_t row0 = reg.GetGauge("dwred_storage_bytes_row").Value();
   const int64_t col0 = reg.GetGauge("dwred_storage_bytes_columnar").Value();

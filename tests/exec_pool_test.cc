@@ -205,7 +205,6 @@ TEST(ThreadPool, ThreadsFromEnvValidatesAndClamps) {
 }
 
 TEST(ThreadPool, TaskMetricsAdvance) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "observability compiled out";
   auto& tasks = obs::MetricsRegistry::Global().GetCounter(
       "dwred_exec_tasks", "shards executed by the pool");
   uint64_t before = tasks.Value();

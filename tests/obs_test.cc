@@ -36,7 +36,6 @@ class ObsTest : public ::testing::Test {
 };
 
 TEST_F(ObsTest, ConcurrentCounterIncrementsSumExactly) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   Counter& c = MetricsRegistry::Global().GetCounter("test_concurrent_total");
   constexpr int kThreads = 8;
   constexpr uint64_t kPerThread = 20000;
@@ -52,7 +51,6 @@ TEST_F(ObsTest, ConcurrentCounterIncrementsSumExactly) {
 }
 
 TEST_F(ObsTest, HistogramBucketBoundsAreInclusive) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   Histogram h({1.0, 2.0, 4.0});
   ASSERT_EQ(h.num_bounds(), 3u);
 
@@ -126,7 +124,6 @@ TEST_F(ObsTest, RenderTextIsStableAndParseable) {
   EXPECT_EQ(first, second) << "exposition must be deterministic";
 
   std::map<std::string, std::string> samples = ParseExposition(first);
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   EXPECT_EQ(samples.at("test_render_total"), "3");
   EXPECT_EQ(samples.at("test_render_gauge"), "-7");
   EXPECT_EQ(samples.at("test_render_seconds_bucket{le=\"0.5\"}"), "0");
@@ -144,7 +141,6 @@ TEST_F(ObsTest, RenderJsonContainsRegisteredMetrics) {
 }
 
 TEST_F(ObsTest, TraceSpanNestedScopesEmitInnerFirst) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   TraceBuffer::Global().Enable(16);
   {
     TraceSpan outer("outer");
@@ -166,7 +162,6 @@ TEST_F(ObsTest, TraceSpanNestedScopesEmitInnerFirst) {
 }
 
 TEST_F(ObsTest, TraceBufferRingOverwritesOldest) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   TraceBuffer::Global().Enable(3);
   for (int i = 0; i < 5; ++i) {
     TraceEvent ev;
@@ -185,7 +180,6 @@ TEST_F(ObsTest, TraceBufferRingOverwritesOldest) {
 }
 
 TEST_F(ObsTest, TraceSpanRecordsIntoHistogram) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   Histogram& h = MetricsRegistry::Global().GetHistogram(
       "test_span_seconds", DefaultLatencyBuckets());
   uint64_t before = h.Count();
@@ -210,7 +204,6 @@ TEST_F(ObsTest, LoggerRespectsMinLevelAndSink) {
 }
 
 TEST_F(ObsTest, SpanOwnsDynamicName) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   TraceBuffer::Global().Enable(16);
   std::unique_ptr<TraceSpan> span;
   {
@@ -226,7 +219,6 @@ TEST_F(ObsTest, SpanOwnsDynamicName) {
 }
 
 TEST_F(ObsTest, TraceContextPropagatesAcrossPoolWorkers) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   exec::ThreadPool::ResetGlobal(4);
   TraceBuffer::Global().Enable(256);
   TraceContext root_ctx;
@@ -262,7 +254,6 @@ TEST_F(ObsTest, TraceContextPropagatesAcrossPoolWorkers) {
 // stay bounded at its capacity with every surviving event intact. Runs under
 // TSan in the sanitizer suite (tools/run_tier1.sh).
 TEST_F(ObsTest, ConcurrentSpansFromPoolWorkersWrapTheRing) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   exec::ThreadPool::ResetGlobal(8);
   constexpr size_t kCapacity = 64;
   TraceBuffer::Global().Enable(kCapacity);
@@ -292,7 +283,6 @@ TEST_F(ObsTest, ConcurrentSpansFromPoolWorkersWrapTheRing) {
 }
 
 TEST_F(ObsTest, TraceJsonLinesRoundTripAndTreeRender) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   TraceBuffer::Global().Enable(16);
   {
     TraceSpan outer("outer");
@@ -398,7 +388,6 @@ TEST_F(ObsTest, RenderTraceTreeSurvivesDuplicateSpanIdsAndParentCycles) {
 }
 
 TEST_F(ObsTest, BuildInfoAndUptimeGaugesAreExposed) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   std::string text = MetricsRegistry::Global().RenderText();
   // dwred_build_info carries its labels in the text exposition and is always
   // 1 (re-asserted at render time, so ResetAllForTest cannot zero it away).
@@ -423,7 +412,6 @@ TEST_F(ObsTest, BuildInfoAndUptimeGaugesAreExposed) {
 }
 
 TEST_F(ObsTest, ConstLabelsRenderInTextExpositionOnly) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   auto& reg = MetricsRegistry::Global();
   reg.GetCounter("test_labeled_total").Increment(2);
   reg.SetConstLabels("test_labeled_total", "shard=\"a\"");
@@ -439,9 +427,7 @@ TEST_F(ObsTest, ResetAllForTestKeepsReferencesValid) {
   MetricsRegistry::Global().ResetAllForTest();
   EXPECT_EQ(c.Value(), 0u);
   c.Increment();  // the reference must still be live
-  if (kObsEnabled) {
-    EXPECT_EQ(c.Value(), 1u);
-  }
+  EXPECT_EQ(c.Value(), 1u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // counter deltas exactly — and the spans of a parallel query on an 8-thread
 // pool must reconstruct a single rooted tree (trace context crosses the pool).
 // Also covers the flight recorder's admission threshold, bounds, and env
-// knobs, the DWRED_PROFILE_DISABLED opt-out, and the profile render surfaces.
+// knobs, and the profile render surfaces.
 
 #include <cstdlib>
 
@@ -33,18 +33,15 @@ namespace {
 
 class ProfileTest : public ::testing::Test {
  protected:
-  // Each test assumes profiling on and the cache enabled; start clean so the
-  // suite behaves identically under CI jobs that export either variable
-  // process-wide.
+  // Each test assumes the cache enabled; start clean so the suite behaves
+  // identically under the CI job that disables it process-wide.
   void SetUp() override {
-    ::unsetenv("DWRED_PROFILE_DISABLED");
     ::unsetenv("DWRED_CACHE_DISABLED");
     obs::TraceBuffer::Global().Disable();
     obs::FlightRecorder::Global().Clear();
   }
 
   void TearDown() override {
-    ::unsetenv("DWRED_PROFILE_DISABLED");
     ::unsetenv("DWRED_CACHE_DISABLED");
     ::unsetenv("DWRED_SLOWLOG_TOPK");
     ::unsetenv("DWRED_SLOWLOG_LASTN");
@@ -82,7 +79,6 @@ class ProfileTest : public ::testing::Test {
 // repeat query is a cache hit with the same fingerprint and zero counter
 // movement.
 TEST_F(ProfileTest, ExplainMatchesScanCounterDeltasOnPrunedPath) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   IspExample ex;
   std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
   const int64_t now = DaysFromCivil({2000, 11, 5});
@@ -173,7 +169,6 @@ TEST_F(ProfileTest, ExplainMatchesScanCounterDeltasOnPrunedPath) {
 // terminates at the "subcube.query" root, and each subcube contributed its
 // labelled subquery span from whichever worker evaluated it.
 TEST_F(ProfileTest, ParallelQuerySpansFormSingleRootedTree) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "built with DWRED_OBS_DISABLED";
   IspExample ex;
   std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
   const int64_t now = DaysFromCivil({2000, 11, 5});
@@ -268,36 +263,6 @@ TEST_F(ProfileTest, SynchronizeFillsPassProfile) {
   EXPECT_EQ(counters["rows_migrated"], static_cast<int64_t>(moved.value()));
   EXPECT_TRUE(counters.count("rows_deleted"));
   EXPECT_TRUE(counters.count("cells_compacted"));
-}
-
-// DWRED_PROFILE_DISABLED set non-empty turns the whole subsystem off: the
-// caller's profile stays untouched and query bytes are unchanged. An *empty*
-// setting counts as enabled (same convention as DWRED_CACHE_DISABLED).
-TEST_F(ProfileTest, ProfileDisabledEnvLeavesProfileUntouched) {
-  EXPECT_TRUE(obs::ProfilingEnabled());
-  ::setenv("DWRED_PROFILE_DISABLED", "", 1);
-  EXPECT_TRUE(obs::ProfilingEnabled());
-  ::setenv("DWRED_PROFILE_DISABLED", "1", 1);
-  EXPECT_FALSE(obs::ProfilingEnabled());
-
-  IspExample ex;
-  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
-  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
-  const int64_t now = DaysFromCivil({2000, 11, 5});
-
-  obs::OpProfile profile;
-  auto off = mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/false,
-                        /*parallel=*/false, nullptr, &profile);
-  ASSERT_TRUE(off.ok()) << off.status().ToString();
-  EXPECT_TRUE(profile.op.empty()) << "profile filled while disabled";
-
-  ::unsetenv("DWRED_PROFILE_DISABLED");
-  obs::OpProfile profile2;
-  auto on = mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/false,
-                       /*parallel=*/false, nullptr, &profile2);
-  ASSERT_TRUE(on.ok()) << on.status().ToString();
-  EXPECT_EQ(profile2.op, "subcube.query");
-  EXPECT_EQ(profile2.result_facts, static_cast<int64_t>(on.value().num_facts()));
 }
 
 // The flight recorder admits only operations at/above the threshold, keeps

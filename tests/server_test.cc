@@ -26,6 +26,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -245,6 +246,9 @@ TEST_F(ServerTest, SpecChangeWireVsEmbeddedAndRejection) {
 
 // EXPLAIN over the wire: the explain flag appends the profile after the
 // result bytes; the result prefix stays byte-identical to a plain query.
+// On a cache miss down the pruned path (synchronized, with a predicate) the
+// rendered segment and row totals equal the scan-layer counter deltas the
+// served query caused, exactly as profile_test checks in process.
 TEST_F(ServerTest, ExplainOverTheWire) {
   Client c = Connect();
   auto plain = c.Call(QueryReq());
@@ -256,9 +260,52 @@ TEST_F(ServerTest, ExplainOverTheWire) {
   ASSERT_GT(explained.value().body.size(), plain.value().body.size());
   EXPECT_EQ(explained.value().body.substr(0, plain.value().body.size()),
             plain.value().body);
-  if (obs::ProfilingEnabled()) {
-    EXPECT_NE(explained.value().body.find("cache"), std::string::npos);
-  }
+  EXPECT_NE(explained.value().body.find("cache"), std::string::npos);
+
+  Request clear;
+  clear.cmd = Command::kCacheCtl;
+  clear.a = "clear";
+  auto cleared = c.Call(clear);
+  ASSERT_TRUE(cleared.ok());
+  ASSERT_EQ(cleared.value().code, StatusCode::kOk);
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter& scanned = reg.GetCounter("dwred_scan_segments_scanned");
+  obs::Counter& pruned = reg.GetCounter("dwred_scan_segments_pruned");
+  obs::Counter& skipped = reg.GetCounter("dwred_scan_rows_skipped");
+  const uint64_t scanned0 = scanned.Value();
+  const uint64_t pruned0 = pruned.Value();
+  const uint64_t skipped0 = skipped.Value();
+  auto missed = c.Call(QueryReq(kQueryExplain));
+  ASSERT_TRUE(missed.ok());
+  ASSERT_EQ(missed.value().code, StatusCode::kOk);
+  const std::string& body = missed.value().body;
+  EXPECT_EQ(body.substr(0, plain.value().body.size()), plain.value().body);
+  EXPECT_EQ(body.find("hit (fingerprint"), std::string::npos) << body;
+
+  // "  segments:     S scanned / P pruned of T" and
+  // "  rows:         R scanned, K skipped" (obs::OpProfile::Render).
+  long long seg_scanned = -1, seg_pruned = -1, seg_total = -1;
+  long long rows_scanned = -1, rows_skipped = -1;
+  const size_t seg_at = body.find("\n  segments:");
+  const size_t rows_at = body.find("\n  rows:");
+  ASSERT_NE(seg_at, std::string::npos) << body;
+  ASSERT_NE(rows_at, std::string::npos) << body;
+  ASSERT_EQ(std::sscanf(body.c_str() + seg_at, " segments: %lld scanned / "
+                        "%lld pruned of %lld",
+                        &seg_scanned, &seg_pruned, &seg_total),
+            3)
+      << body;
+  ASSERT_EQ(std::sscanf(body.c_str() + rows_at,
+                        " rows: %lld scanned, %lld skipped", &rows_scanned,
+                        &rows_skipped),
+            2)
+      << body;
+  EXPECT_EQ(static_cast<uint64_t>(seg_scanned), scanned.Value() - scanned0);
+  EXPECT_EQ(static_cast<uint64_t>(seg_pruned), pruned.Value() - pruned0);
+  EXPECT_EQ(static_cast<uint64_t>(rows_skipped), skipped.Value() - skipped0);
+  EXPECT_EQ(seg_total, seg_scanned + seg_pruned);
+  EXPECT_GT(seg_total, 0);
+  EXPECT_GT(rows_scanned, 0);
 }
 
 // Concurrent sessions, pipelined windows: every response is byte-identical

@@ -637,27 +637,26 @@ TEST(VmDifferential, CompileRejectionFallsBackToInterpreterEndToEnd) {
                          /*assume_synchronized=*/false, parallel, nullptr,
                          &stale_prof);
     ASSERT_TRUE(stale.ok()) << stale.status().message();
-    if (obs::ProfilingEnabled()) {
-      EXPECT_FALSE(stale_prof.compiled);
-      EXPECT_NE(stale_prof.Render().find("no (tree interpreter)"),
-                std::string::npos);
-      int64_t routed = -1;
-      for (const auto& [name, value] : stale_prof.counters) {
-        if (name == "rows_routed") routed = value;
-      }
-      EXPECT_EQ(routed, stored);
-      int64_t read = 0;
-      for (const obs::SubcubeProfile& sc : stale_prof.subcubes) {
-        read += sc.rows_scanned;
-      }
-      EXPECT_EQ(read, stale_prof.rows_scanned);
-      EXPECT_GT(read, 0);
+    EXPECT_EQ(stale_prof.op, "subcube.query");
+    EXPECT_EQ(stale_prof.result_facts,
+              static_cast<int64_t>(stale.value().num_facts()));
+    EXPECT_FALSE(stale_prof.compiled);
+    EXPECT_NE(stale_prof.Render().find("no (tree interpreter)"),
+              std::string::npos);
+    int64_t routed = -1;
+    for (const auto& [name, value] : stale_prof.counters) {
+      if (name == "rows_routed") routed = value;
     }
+    EXPECT_EQ(routed, stored);
+    int64_t read = 0;
+    for (const obs::SubcubeProfile& sc : stale_prof.subcubes) {
+      read += sc.rows_scanned;
+    }
+    EXPECT_EQ(read, stale_prof.rows_scanned);
+    EXPECT_GT(read, 0);
     obs::OpProfile sync_prof;
     ASSERT_TRUE(m.Synchronize(now, &sync_prof).ok());
-    if (obs::ProfilingEnabled()) {
-      EXPECT_TRUE(sync_prof.compiled) << "the spec's actions all compile";
-    }
+    EXPECT_TRUE(sync_prof.compiled) << "the spec's actions all compile";
     ExpectQueryMatchesReference(m, deep.get(), &target.value(), now, true,
                                 parallel);
     ExpectQueryMatchesReference(m, deep.get(), nullptr, now, true, parallel);
@@ -669,10 +668,8 @@ TEST(VmDifferential, CompileRejectionFallsBackToInterpreterEndToEnd) {
                              /*assume_synchronized=*/true, parallel, nullptr,
                              &prof);
     ASSERT_TRUE(explained.ok()) << explained.status().message();
-    if (obs::ProfilingEnabled()) {
-      EXPECT_FALSE(prof.compiled);
-      EXPECT_NE(prof.ToJson().find("\"compiled\":false"), std::string::npos);
-    }
+    EXPECT_FALSE(prof.compiled);
+    EXPECT_NE(prof.ToJson().find("\"compiled\":false"), std::string::npos);
   }
 }
 
