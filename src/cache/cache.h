@@ -27,6 +27,8 @@
 // exclusively, so a query observes exactly one epoch's bytes (the PR-3
 // determinism contract extends across concurrent writers: a query result
 // equals the serial result at whichever epoch it pinned, cache on or off).
+// Writers also serialize on the cache's writer mutex, which a synchronize
+// holds from its shared-lock plan through its exclusive-lock apply.
 //
 // The whole layer is disabled by the DWRED_CACHE_DISABLED environment
 // variable (re-read on every operation, so tests can flip it at runtime);
@@ -92,9 +94,9 @@ std::string ProgramFingerprint(const MultidimensionalObject& ctx,
 std::string RollupFingerprint(const std::vector<CategoryId>& target,
                               uint64_t epoch);
 
-/// One warehouse's epoch counter, snapshot lock, and LRU caches. Heap-held
-/// by SubcubeManager (the manager must stay movable through
-/// Result<SubcubeManager>; the lock and atomics must not move).
+/// One warehouse's epoch counter, snapshot lock, writer mutex, and LRU
+/// caches. Heap-held by SubcubeManager (the manager must stay movable
+/// through Result<SubcubeManager>; the locks and atomics must not move).
 class WarehouseCache {
  public:
   static constexpr size_t kDefaultMaxEntries = 256;
@@ -110,6 +112,13 @@ class WarehouseCache {
   /// The warehouse reader/writer lock: queries hold it shared for their whole
   /// evaluation (epoch-pinned snapshot), mutating passes exclusively.
   std::shared_mutex& snapshot_mutex() const { return mu_; }
+
+  /// The warehouse writer mutex: every SubcubeManager writer holds it for
+  /// its whole pass (a synchronize from its plan to its apply), so writers
+  /// serialize among themselves while readers wait only on the snapshot
+  /// lock's exclusive phases. Taken before the snapshot lock, never after;
+  /// not recursive, so a holder must not call those writers.
+  std::mutex& writer_mutex() const { return writer_mu_; }
 
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
@@ -202,6 +211,7 @@ class WarehouseCache {
   size_t DropAll(Lru<V>& lru);
 
   mutable std::shared_mutex mu_;  ///< snapshot lock (see snapshot_mutex)
+  mutable std::mutex writer_mu_;  ///< see writer_mutex
   std::atomic<uint64_t> epoch_{0};
 
   mutable std::mutex cache_mu_;  ///< guards the LRU structures below

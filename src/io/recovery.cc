@@ -446,16 +446,16 @@ Result<std::unique_ptr<DurableWarehouse>> DurableWarehouse::Open(
     // Re-derive the plan against the recovered pre-state and verify it
     // matches the journaled intent — catches snapshot/journal lineage mixups
     // and non-deterministic replay before any mutation happens.
-    DWRED_ASSIGN_OR_RETURN(IntentRecord replan, dw->PlanOp(cop.intent.op));
-    if (replan.pre_rows != cop.intent.pre_rows ||
-        replan.pre_counts != cop.intent.pre_counts ||
-        replan.affected_count != cop.intent.affected_count ||
-        replan.affected_digest != cop.intent.affected_digest) {
+    DWRED_ASSIGN_OR_RETURN(PlannedOp replan, dw->PlanOp(cop.intent.op));
+    if (replan.intent.pre_rows != cop.intent.pre_rows ||
+        replan.intent.pre_counts != cop.intent.pre_counts ||
+        replan.intent.affected_count != cop.intent.affected_count ||
+        replan.intent.affected_digest != cop.intent.affected_digest) {
       return Status::ParseError(
           "journal: replay diverged from the intent at lsn " +
           std::to_string(cop.intent.lsn));
     }
-    DWRED_RETURN_IF_ERROR(dw->ApplyOp(cop.intent.op));
+    DWRED_RETURN_IF_ERROR(dw->ApplyOp(replan));
     if (dw->TotalRows() != cop.commit.post_rows) {
       return Status::ParseError(
           "journal: replay post-image row count mismatch at lsn " +
@@ -500,8 +500,10 @@ std::vector<uint64_t> DurableWarehouse::TableRows() const {
 
 // --- Plan -------------------------------------------------------------------
 
-Result<IntentRecord> DurableWarehouse::PlanOp(const JournalOp& op) const {
-  IntentRecord in;
+Result<DurableWarehouse::PlannedOp> DurableWarehouse::PlanOp(
+    const JournalOp& op) const {
+  PlannedOp planned;
+  IntentRecord& in = planned.intent;
   in.op = op;
   in.pre_rows = TotalRows();
   in.pre_counts = TableRows();
@@ -532,33 +534,19 @@ Result<IntentRecord> DurableWarehouse::PlanOp(const JournalOp& op) const {
         return Status::InvalidArgument(
             "reduce pass applies to the plain organization; use synchronize");
       }
-      for (FactId f = 0; f < mo_->num_facts(); ++f) {
-        bool deleted = false;
-        DWRED_ASSIGN_OR_RETURN(
-            std::vector<CategoryId> gran,
-            MaxSpecGran(*mo_, spec_, f, op.now_day, nullptr, &deleted));
-        (void)gran;
-        if (deleted) {
-          ++in.affected_count;
-          h.U8(1);
-          for (DimensionId d = 0; d < mo_->num_dimensions(); ++d) {
-            HashValue(&h, *mo_->dimension(d), mo_->Coord(f, d));
-          }
-          continue;
-        }
-        DWRED_ASSIGN_OR_RETURN(std::vector<ValueId> cell,
-                               CellOf(*mo_, spec_, f, op.now_day));
-        bool moved = false;
-        for (DimensionId d = 0; d < mo_->num_dimensions(); ++d) {
-          if (cell[d] != mo_->Coord(f, d)) moved = true;
-        }
-        if (!moved) continue;
-        ++in.affected_count;
-        h.U8(2);
-        for (DimensionId d = 0; d < mo_->num_dimensions(); ++d) {
-          HashValue(&h, *mo_->dimension(d), cell[d]);
-        }
-      }
+      // Reduce's own compiled assignment, digested in fact order: every
+      // deleted fact contributes its direct cell, every moved one its new
+      // cell.
+      const CellAssigner assigner(*mo_, spec_, op.now_day);
+      DWRED_RETURN_IF_ERROR(assigner.Assign(
+          0, mo_->num_facts(), [&](const CellAssignment& a) {
+            if (!a.deleted && !a.changed) return;
+            ++in.affected_count;
+            h.U8(a.deleted ? 1 : 2);
+            for (DimensionId d = 0; d < mo_->num_dimensions(); ++d) {
+              HashValue(&h, *mo_->dimension(d), a.cell[d]);
+            }
+          }));
       break;
     }
     case JournalOpKind::kSynchronize: {
@@ -566,14 +554,14 @@ Result<IntentRecord> DurableWarehouse::PlanOp(const JournalOp& op) const {
         return Status::InvalidArgument(
             "synchronize requires the subcube organization");
       }
-      // The same plan Synchronize applies, digested in (cube, row) order:
-      // every row whose responsible cube is not its own contributes its
-      // source cube, its target (deletions as ~0), and its direct cell.
-      DWRED_ASSIGN_OR_RETURN(std::vector<std::vector<size_t>> targets,
+      // The plan ApplyOp executes, digested in (cube, row) order: every row
+      // whose responsible cube is not its own contributes its source cube,
+      // its target (deletions as ~0), and its direct cell.
+      DWRED_ASSIGN_OR_RETURN(planned.sync,
                              subcubes_->PlanSynchronize(op.now_day));
       const size_t nd = mo_->num_dimensions();
-      for (size_t ci = 0; ci < targets.size(); ++ci) {
-        const std::vector<size_t>& target = targets[ci];
+      for (size_t ci = 0; ci < planned.sync->cubes.size(); ++ci) {
+        const std::vector<size_t>& target = planned.sync->cubes[ci].target;
         const FactTable& t = subcubes_->subcube(ci).table;
         t.ForEachDimBatch(
             0, target.size(), [&](const FactTable::BatchView& b) {
@@ -596,12 +584,13 @@ Result<IntentRecord> DurableWarehouse::PlanOp(const JournalOp& op) const {
     }
   }
   in.affected_digest = h.digest();
-  return in;
+  return planned;
 }
 
 // --- Apply ------------------------------------------------------------------
 
-Status DurableWarehouse::ApplyOp(const JournalOp& op) {
+Status DurableWarehouse::ApplyOp(const PlannedOp& planned) {
+  const JournalOp& op = planned.intent.op;
   switch (op.kind) {
     case JournalOpKind::kInsertFacts: {
       DWRED_ASSIGN_OR_RETURN(DecodedBatch b,
@@ -655,7 +644,7 @@ Status DurableWarehouse::ApplyOp(const JournalOp& op) {
     }
     case JournalOpKind::kSynchronize: {
       DWRED_ASSIGN_OR_RETURN(last_sync_migrated_,
-                             subcubes_->Synchronize(op.now_day));
+                             subcubes_->ApplySynchronize(*planned.sync));
       return Status::OK();
     }
     case JournalOpKind::kSetSpec: {
@@ -718,14 +707,15 @@ Status DurableWarehouse::RunJournaled(JournalOp op) {
   // planned — no journal traffic for an operation that will not run.
   DWRED_RETURN_IF_ERROR(
       runtime::CountAbort(runtime::CurrentOpContext().Check()));
-  DWRED_ASSIGN_OR_RETURN(IntentRecord intent, PlanOp(op));
+  DWRED_ASSIGN_OR_RETURN(PlannedOp planned, PlanOp(op));
+  IntentRecord& intent = planned.intent;
   intent.lsn = applied_lsn_ + 1;
   // An intent-append failure leaves memory untouched: whatever (possibly
   // torn) prefix reached the file is superseded by the next append or rolled
   // back by recovery — no poison.
   DWRED_RETURN_IF_ERROR(journal_.AppendIntent(intent));
   Status applied = testing::FaultPoint(ApplySite(op.kind));
-  if (applied.ok()) applied = ApplyOp(op);
+  if (applied.ok()) applied = ApplyOp(planned);
   if (!applied.ok()) {
     if (runtime::IsAbort(applied.code())) {
       // Cooperative aborts are clean by contract (runtime/cancel.h): every

@@ -9,8 +9,9 @@
 //   <dir>/journal.dwal      write-ahead intent journal (io/journal.h)
 //
 // Every mutating pass runs the two-phase plan/apply protocol: plan (compute
-// pre-image row counts and the affected-cell digest), append + fsync the
-// intent record, apply the mutation in memory, append + fsync the commit
+// pre-image row counts and the affected-cell digest — for a synchronize, of
+// the very SyncPlan (subcube/manager.h) the apply then executes), append + fsync
+// the intent record, apply the mutation in memory, append + fsync the commit
 // record. A snapshot checkpoint (Checkpoint) folds the journal into a fresh
 // snapshot via tmp-file + fsync + atomic rename, then truncates the journal.
 //
@@ -23,6 +24,7 @@
 // journal truncation never double-applies.
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "io/journal.h"
@@ -105,13 +107,22 @@ class DurableWarehouse {
  private:
   DurableWarehouse() = default;
 
-  /// Computes the intent for `op` against the current state (pre-image row
-  /// counts, affected cell count + digest).
-  Result<IntentRecord> PlanOp(const JournalOp& op) const;
+  /// An operation planned against the current state: the intent the journal
+  /// records and, for a synchronize, the plan that intent digests.
+  struct PlannedOp {
+    IntentRecord intent;
+    std::optional<SyncPlan> sync;
+  };
 
-  /// Applies `op` to the in-memory state. Shared by the live path and
-  /// recovery replay so both perform the identical mutation sequence.
-  Status ApplyOp(const JournalOp& op);
+  /// Computes the intent for `op` against the current state (pre-image row
+  /// counts, affected cell count + digest). A synchronize plans here, once:
+  /// the intent digests the returned plan and ApplyOp executes it.
+  Result<PlannedOp> PlanOp(const JournalOp& op) const;
+
+  /// Applies a planned operation to the in-memory state. Shared by the live
+  /// path and recovery replay so both perform the identical mutation
+  /// sequence.
+  Status ApplyOp(const PlannedOp& planned);
 
   /// Plan + intent + apply + commit.
   Status RunJournaled(JournalOp op);

@@ -1,5 +1,6 @@
 #include "net/command.h"
 
+#include <algorithm>
 #include <mutex>
 #include <shared_mutex>
 #include <sstream>
@@ -67,14 +68,17 @@ Result<std::string> InsertBody(const Request& req, const SubcubeManager& mgr,
   MultidimensionalObject batch(ctx.fact_type(), ctx.dimensions(),
                                ctx.measure_types());
   {
-    // CSV decoding interns unknown time values into the *shared* dimensions;
-    // that mutation must not race epoch-pinned readers, so it runs under the
-    // exclusive snapshot lock (released before the insert, which
-    // re-acquires it — the lock is not recursive). Values interned here are
-    // factless until the insert lands; a reader between the two critical
-    // sections sees extra interned values but identical facts and bytes.
-    std::unique_lock<std::shared_mutex> lock(
-        mgr.warehouse_cache().snapshot_mutex());
+    // CSV decoding interns unknown time values into the *shared* dimensions,
+    // so it is a writer step: under the writer mutex, so it never lands
+    // inside another writer's pass, and under the exclusive snapshot lock,
+    // so it never races an epoch-pinned reader. Both are released before
+    // the insert, which re-acquires them (neither is recursive). Values
+    // interned here are factless until the insert lands; a reader between
+    // the two critical sections sees extra interned values but identical
+    // facts and bytes.
+    const cache::WarehouseCache& wc = mgr.warehouse_cache();
+    std::lock_guard<std::mutex> writer(wc.writer_mutex());
+    std::unique_lock<std::shared_mutex> lock(wc.snapshot_mutex());
     DWRED_RETURN_IF_ERROR(ReadFactCsv(&batch, req.a));
   }
   DWRED_RETURN_IF_ERROR(target.durable != nullptr
@@ -106,19 +110,27 @@ Result<std::string> SpecChangeBody(const Request& req,
         "organization");
   }
   SubcubeManager& mgr = *target.mgr;
-  DWRED_ASSIGN_OR_RETURN(std::vector<Action> actions,
-                         ReadSpecificationText(mgr.context(), req.a));
-  // Re-validate the full set (Growing + NonCrossing) before touching the
-  // layout — ChangeSpecification trusts a validated specification.
-  DWRED_ASSIGN_OR_RETURN(
-      ReductionSpecification spec,
-      InsertActions(mgr.context(), ReductionSpecification{}, actions));
+  ReductionSpecification spec;
+  {
+    // Parsing reads the shared dimensions, which a concurrent insert's CSV
+    // decode may be extending: hold the shared snapshot lock.
+    std::shared_lock<std::shared_mutex> lock(
+        mgr.warehouse_cache().snapshot_mutex());
+    DWRED_ASSIGN_OR_RETURN(std::vector<Action> actions,
+                           ReadSpecificationText(mgr.context(), req.a));
+    // Re-validate the full set (Growing + NonCrossing) before touching the
+    // layout — ChangeSpecification trusts a validated specification.
+    DWRED_ASSIGN_OR_RETURN(
+        spec, InsertActions(mgr.context(), ReductionSpecification{}, actions));
+  }
   const size_t n_actions = spec.size();
   DWRED_RETURN_IF_ERROR(mgr.ChangeSpecification(std::move(spec), req.now_day));
+  // One locked snapshot of the layout, one line per subcube.
+  const std::string layout = mgr.DescribeLayout();
   return "specification installed: " + std::to_string(n_actions) +
-         " actions, " + std::to_string(mgr.num_subcubes()) +
-         " subcubes epoch=" + std::to_string(mgr.epoch()) + "\n" +
-         mgr.DescribeLayout();
+         " actions, " +
+         std::to_string(std::count(layout.begin(), layout.end(), '\n')) +
+         " subcubes epoch=" + std::to_string(mgr.epoch()) + "\n" + layout;
 }
 
 Result<std::string> CacheBody(const Request& req, const SubcubeManager& mgr) {
@@ -152,11 +164,8 @@ Result<std::string> CacheBody(const Request& req, const SubcubeManager& mgr) {
 
 std::string SnapshotCrcBody(const SubcubeManager& mgr) {
   size_t rows = 0;
-  for (size_t i = 0; i < mgr.num_subcubes(); ++i) {
-    rows += mgr.subcube(i).table.num_rows();
-  }
-  return "crc=" + std::to_string(WarehouseCrc(mgr)) +
-         " rows=" + std::to_string(rows) +
+  const uint32_t crc = WarehouseCrc(mgr, &rows);
+  return "crc=" + std::to_string(crc) + " rows=" + std::to_string(rows) +
          " epoch=" + std::to_string(mgr.epoch());
 }
 
@@ -255,19 +264,6 @@ Result<ScriptLine> ParseCommand(std::string_view text,
   return line;
 }
 
-bool IsMutating(const Request& req) {
-  switch (req.cmd) {
-    case Command::kInsert:
-    case Command::kSynchronize:
-    case Command::kSpecChange:
-      return true;
-    case Command::kCacheCtl:
-      return req.a == "clear";
-    default:
-      return false;
-  }
-}
-
 Response Execute(const Request& req, const CommandTarget& target) {
   Result<std::string> body = Body(req, target);
   Response resp;
@@ -289,12 +285,14 @@ std::string RenderResult(const MultidimensionalObject& mo) {
   return out.str();
 }
 
-uint32_t WarehouseCrc(const SubcubeManager& mgr) {
+uint32_t WarehouseCrc(const SubcubeManager& mgr, size_t* rows) {
   std::shared_lock<std::shared_mutex> lock(
       mgr.warehouse_cache().snapshot_mutex());
   uint32_t crc = 0;
+  if (rows != nullptr) *rows = 0;
   for (size_t i = 0; i < mgr.num_subcubes(); ++i) {
     const Subcube& cube = mgr.subcube(i);
+    if (rows != nullptr) *rows += cube.table.num_rows();
     std::ostringstream out;
     out << cube.name << "|";
     for (CategoryId c : cube.granularity) out << c << ",";

@@ -56,20 +56,20 @@ struct CommandTarget {
   DurableWarehouse* durable = nullptr;
 };
 
-/// Runs one request and returns the response the wire carries. Mutating
-/// commands (IsMutating) must be serialized by the caller; reads take the
-/// engine's shared snapshot lock only. kShutdown is acknowledged here and
-/// acted on by the server.
+/// Runs one request and returns the response the wire carries. Safe to call
+/// from any number of threads against one manager: reads take the engine's
+/// shared snapshot lock, and writers serialize on the manager's writer mutex
+/// (SubcubeManager). An attached DurableWarehouse is single-threaded, like
+/// the rest of its API. kShutdown is acknowledged here and acted on by the
+/// server.
 Response Execute(const Request& req, const CommandTarget& target);
-
-/// True for the commands that change the warehouse or its caches.
-bool IsMutating(const Request& req);
 
 /// CRC32 over a canonical serialization of every subcube's live rows (name,
 /// granularity, coordinates, measures), taken under the shared snapshot lock.
 /// The differential anchor for over-the-wire vs. embedded workloads: equal
-/// CRCs mean byte-identical warehouses.
-uint32_t WarehouseCrc(const SubcubeManager& mgr);
+/// CRCs mean byte-identical warehouses. A non-null `rows` receives the live
+/// row count of the same snapshot.
+uint32_t WarehouseCrc(const SubcubeManager& mgr, size_t* rows = nullptr);
 
 /// Canonical rendering of a query result: a cell-count line followed by one
 /// FormatFact line per fact. Shared by the wire path and embedded

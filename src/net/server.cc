@@ -55,29 +55,37 @@ struct NetMetrics {
   }
 };
 
-/// Per-command request counter, registered on first use.
-obs::Counter& CommandCounter(Command c) {
+/// Per-command request counter and latency histogram (dwred_net_cmd_<cmd>,
+/// dwred_op_net_<cmd>_seconds), registered once per command on first use.
+struct CommandMetrics {
+  obs::Counter& requests;
+  obs::Histogram& latency;
+};
+
+CommandMetrics& ForCommand(Command c) {
   auto& reg = obs::MetricsRegistry::Global();
   switch (c) {
-#define DWRED_NET_CMD_COUNTER(cmd, name)                               \
-  case Command::cmd: {                                                 \
-    static obs::Counter& ctr =                                         \
-        reg.GetCounter("dwred_net_cmd_" name, name " requests served"); \
-    return ctr;                                                        \
+#define DWRED_NET_CMD_METRICS(cmd, name)                                 \
+  case Command::cmd: {                                                   \
+    static CommandMetrics m{                                             \
+        reg.GetCounter("dwred_net_cmd_" name, name " requests served"),  \
+        obs::OpLatencyHistogram("net." name)};                           \
+    return m;                                                            \
   }
-    DWRED_NET_CMD_COUNTER(kPing, "ping")
-    DWRED_NET_CMD_COUNTER(kQuery, "query")
-    DWRED_NET_CMD_COUNTER(kInsert, "insert")
-    DWRED_NET_CMD_COUNTER(kSynchronize, "synchronize")
-    DWRED_NET_CMD_COUNTER(kSpecChange, "spec_change")
-    DWRED_NET_CMD_COUNTER(kStats, "stats")
-    DWRED_NET_CMD_COUNTER(kCacheCtl, "cache_ctl")
-    DWRED_NET_CMD_COUNTER(kSnapshotCrc, "snapshot_crc")
-    DWRED_NET_CMD_COUNTER(kShutdown, "shutdown")
-#undef DWRED_NET_CMD_COUNTER
+    DWRED_NET_CMD_METRICS(kPing, "ping")
+    DWRED_NET_CMD_METRICS(kQuery, "query")
+    DWRED_NET_CMD_METRICS(kInsert, "insert")
+    DWRED_NET_CMD_METRICS(kSynchronize, "synchronize")
+    DWRED_NET_CMD_METRICS(kSpecChange, "spec_change")
+    DWRED_NET_CMD_METRICS(kStats, "stats")
+    DWRED_NET_CMD_METRICS(kCacheCtl, "cache_ctl")
+    DWRED_NET_CMD_METRICS(kSnapshotCrc, "snapshot_crc")
+    DWRED_NET_CMD_METRICS(kShutdown, "shutdown")
+#undef DWRED_NET_CMD_METRICS
   }
-  static obs::Counter& unknown =
-      reg.GetCounter("dwred_net_cmd_unknown", "unknown requests");
+  static CommandMetrics unknown{
+      reg.GetCounter("dwred_net_cmd_unknown", "unknown requests"),
+      obs::OpLatencyHistogram("net.unknown")};
   return unknown;
 }
 
@@ -351,7 +359,8 @@ void Server::SignalShutdown() {
 
 Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
   NetMetrics& m = NetMetrics::Get();
-  CommandCounter(req.cmd).Increment();
+  CommandMetrics& cmd_metrics = ForCommand(req.cmd);
+  cmd_metrics.requests.Increment();
 
   // Every command runs under a fresh operation context: the request's
   // deadline and row budget, plus a cancellable token so an injected or
@@ -378,11 +387,7 @@ Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
     resp = FromStatus(poll);
   } else {
     if (req.cmd == Command::kShutdown) *shutdown_cmd = true;
-    {
-      std::unique_lock<std::mutex> writer(write_mu_, std::defer_lock);
-      if (IsMutating(req)) writer.lock();
-      resp = Execute(req, CommandTarget{mgr_});
-    }
+    resp = Execute(req, CommandTarget{mgr_});
     Status respond = runtime::PollCancel("cancel.net.respond");
     if (!respond.ok()) {
       m.aborts.Increment();
@@ -394,11 +399,10 @@ Response Server::DispatchImpl(const Request& req, bool* shutdown_cmd) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count();
-  const std::string op = std::string("net.") + CommandName(req.cmd);
-  obs::OpLatencyHistogram(op).Record(static_cast<double>(wall_us) * 1e-6);
+  cmd_metrics.latency.Record(static_cast<double>(wall_us) * 1e-6);
   if (obs::FlightRecorder::Global().WouldRecord(wall_us)) {
     obs::OpProfile profile;
-    profile.op = op;
+    profile.op = std::string("net.") + CommandName(req.cmd);
     profile.epoch = mgr_->epoch();
     profile.now_day = req.now_day;
     profile.outcome = runtime::OutcomeLabel(resp.code);

@@ -2,9 +2,9 @@
 
 // dwredd's serving core (docs/SERVER.md): a TCP listener fronting one
 // SubcubeManager with the net/protocol.h command protocol. The server does
-// transport work only — framing, the per-request OpContext, the write
-// mutex, metrics and the flight recorder; every command body is
-// net/command.h's Execute, the one dwredctl runs in process.
+// transport work only — framing, the per-request OpContext, metrics and the
+// flight recorder; every command body is net/command.h's Execute, the one
+// dwredctl runs in process.
 //
 // Threading model: one accept thread plus one dedicated thread per
 // connection. Sessions do NOT run on the exec::ThreadPool — the pool is a
@@ -13,13 +13,13 @@
 // instead the CPU-heavy work inside each command (per-subcube query fan-out,
 // sharded synchronize) rides the pool exactly as it does embedded.
 //
-// Concurrency discipline: read commands (query, stats, snapshot-crc) take
-// the warehouse snapshot lock shared inside the engine — epoch-pinned reads,
-// concurrent across sessions. Mutating commands (insert, synchronize,
-// spec-change, cache-clear) additionally serialize through `write_mu_` so
-// two sessions cannot interleave a CSV parse (which interns new dimension
-// values) with another writer's pass; the engine's exclusive snapshot lock
-// then fences them against readers as embedded.
+// Concurrency discipline: sessions call Execute concurrently and hold no
+// lock of their own. Read commands (query, stats, snapshot-crc) take the
+// warehouse snapshot lock shared inside the engine — epoch-pinned reads,
+// concurrent across sessions. Writers (insert, synchronize, spec-change)
+// serialize on the engine's one writer mutex, as embedded: a synchronize
+// plans under the shared lock, so readers keep running, and holds the
+// exclusive lock only to apply.
 //
 // Every command runs under a fresh runtime::OpContext carrying the request's
 // deadline and row budget plus a cancellable token, with poll sites
@@ -109,8 +109,6 @@ class Server {
   std::atomic<bool> stopping_{false};
   std::atomic<bool> shutdown_{false};
   std::thread accept_thread_;
-
-  std::mutex write_mu_;  ///< serializes mutating commands across sessions
 
   std::mutex sessions_mu_;
   std::condition_variable shutdown_cv_;

@@ -92,25 +92,6 @@ Result<std::vector<CategoryId>> MaxSpecGranImpl(
   return best;
 }
 
-/// One compiled program per action (null slots for predicates the compiler
-/// rejects).
-ActionPrograms CompileActionPrograms(const MultidimensionalObject& mo,
-                                     const ReductionSpecification& spec,
-                                     int64_t now_day) {
-  ActionPrograms progs;
-  progs.reserve(spec.size());
-  const scan::AtomOracle oracle = vm::SpecAtomOracle(mo, now_day);
-  for (size_t i = 0; i < spec.size(); ++i) {
-    const Action& a = spec.action(static_cast<ActionId>(i));
-    auto compiled = vm::PredProgram::Compile(mo, *a.predicate, oracle);
-    progs.push_back(compiled
-                        ? std::make_shared<const vm::PredProgram>(
-                              std::move(*compiled))
-                        : nullptr);
-  }
-  return progs;
-}
-
 }  // namespace
 
 Result<std::vector<CategoryId>> MaxSpecGran(const MultidimensionalObject& mo,
@@ -138,6 +119,84 @@ Result<std::vector<ValueId>> CellOf(const MultidimensionalObject& mo,
     cell[d] = v;
   }
   return cell;
+}
+
+CellAssigner::CellAssigner(const MultidimensionalObject& mo,
+                           const ReductionSpecification& spec,
+                           int64_t now_day)
+    : mo_(mo), spec_(spec), now_day_(now_day) {
+  // One compiled program per action (null slots for predicates the compiler
+  // rejects).
+  progs_.reserve(spec.size());
+  const scan::AtomOracle oracle = vm::SpecAtomOracle(mo, now_day);
+  for (size_t i = 0; i < spec.size(); ++i) {
+    const Action& a = spec.action(static_cast<ActionId>(i));
+    auto compiled = vm::PredProgram::Compile(mo, *a.predicate, oracle);
+    progs_.push_back(compiled ? std::make_shared<const vm::PredProgram>(
+                                    std::move(*compiled))
+                              : nullptr);
+  }
+}
+
+Status CellAssigner::Assign(
+    FactId begin, FactId end,
+    const std::function<void(const CellAssignment&)>& visit) const {
+  // Vectorized: transpose row-major MO chunks into column scratch, evaluate
+  // every compiled action predicate chunk-at-a-time, then hand each fact its
+  // precomputed lane weights (vm::PredProgram::EvalBatch contract: bitwise
+  // the per-fact program result).
+  constexpr size_t kChunk = FactTable::kBatchRows;
+  const size_t ndims = mo_.num_dimensions();
+  const size_t nact = progs_.size();
+  vm::PredProgram::BatchScratch scratch;
+  std::vector<ValueId> cols(ndims * kChunk);
+  std::vector<const ValueId*> colp(ndims);
+  for (size_t d = 0; d < ndims; ++d) colp[d] = cols.data() + d * kChunk;
+  std::vector<double> lanes(nact * kChunk);
+  std::vector<double> row_w(nact);
+  std::vector<ValueId> cell(ndims);
+  CellAssignment out;
+  for (FactId f0 = begin; f0 < end; f0 += kChunk) {
+    const size_t n = std::min<size_t>(kChunk, end - f0);
+    for (size_t i = 0; i < n; ++i) {
+      const ValueId* row = mo_.FactCoords(f0 + i).data();
+      for (size_t d = 0; d < ndims; ++d) cols[d * kChunk + i] = row[d];
+    }
+    for (size_t a = 0; a < nact; ++a) {
+      if (const vm::PredProgram* p = progs_[a].get()) {
+        p->EvalBatch(colp.data(), n, lanes.data() + a * kChunk, &scratch);
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const FactId f = f0 + i;
+      for (size_t a = 0; a < nact; ++a) row_w[a] = lanes[a * kChunk + i];
+      out.fact = f;
+      out.responsible = kNoAction;
+      DWRED_ASSIGN_OR_RETURN(
+          std::vector<CategoryId> gran,
+          MaxSpecGranImpl(mo_, spec_, f, now_day_, &out.responsible,
+                          &out.deleted, &progs_, row_w.data()));
+      out.changed = false;
+      for (size_t d = 0; d < ndims; ++d) {
+        auto dd = static_cast<DimensionId>(d);
+        const ValueId direct = mo_.Coord(f, dd);
+        if (out.deleted) {
+          cell[d] = direct;
+          continue;
+        }
+        const ValueId v = mo_.dimension(dd)->Rollup(direct, gran[d]);
+        if (v == kInvalidValue) {
+          return Status::Internal("no rollup to target granularity for " +
+                                  mo_.FactName(f));
+        }
+        out.changed = out.changed || v != direct;
+        cell[d] = v;
+      }
+      out.cell = cell;
+      visit(out);
+    }
+  }
+  return Status::OK();
 }
 
 Result<CategoryId> AggLevel(const MultidimensionalObject& mo,
@@ -210,7 +269,7 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
 
   // The per-action predicate programs and the measure fold, compiled once
   // for the whole pass (src/vm) and shared read-only by every shard.
-  const ActionPrograms progs = CompileActionPrograms(mo, spec, now_day);
+  const CellAssigner assigner(mo, spec, now_day);
   const vm::FoldProgram fold = vm::FoldProgram::Compile(mo.measure_types());
 
   scan::ScanPlan plan = scan::PlanMoScan(mo.num_facts(), /*grain=*/1024);
@@ -228,40 +287,17 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
         static_cast<int64_t>(end - begin));
     if (!acc.error.ok()) return;
     std::vector<ValueId> cell(ndims);
-    // Assigns one fact to its cell group; returns false when the shard must
-    // stop (acc.error set). `action_w` optionally carries the fact's
-    // batch-precomputed per-action program weights.
-    auto process = [&](FactId f, const double* action_w) -> bool {
-      ActionId responsible = kNoAction;
-      bool deleted = false;
-      auto gran_r = MaxSpecGranImpl(mo, spec, f, now_day, &responsible,
-                                    &deleted, &progs, action_w);
-      if (!gran_r.ok()) {
-        acc.error = gran_r.status();
-        return false;
-      }
-      if (deleted) {
+    // Folds each assigned fact into its shard-local cell group.
+    acc.error = assigner.Assign(begin, end, [&](const CellAssignment& a) {
+      const FactId f = a.fact;
+      if (a.deleted) {
         // Deletion action (Section 8 extension): the fact is physically
         // removed — no cell, no group.
         ++acc.facts_deleted;
-        return true;
+        return;
       }
-      const std::vector<CategoryId>& gran = gran_r.value();
-      bool changed = false;
-      for (size_t d = 0; d < ndims; ++d) {
-        auto dd = static_cast<DimensionId>(d);
-        ValueId direct = mo.Coord(f, dd);
-        ValueId v = mo.dimension(dd)->Rollup(direct, gran[d]);
-        if (v == kInvalidValue) {
-          acc.error = Status::Internal(
-              "no rollup to target granularity for " + mo.FactName(f));
-          return false;
-        }
-        if (v != direct) changed = true;
-        cell[d] = v;
-      }
-      if (changed) ++acc.facts_aggregated;
-
+      if (a.changed) ++acc.facts_aggregated;
+      cell.assign(a.cell.begin(), a.cell.end());
       auto it = acc.index.find(cell);
       if (it == acc.index.end()) {
         ShardGroup g;
@@ -270,10 +306,10 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
         for (size_t m = 0; m < nmeas; ++m) {
           g.meas[m] = mo.Measure(f, static_cast<MeasureId>(m));
         }
-        g.first_fallback =
-            responsible != kNoAction ? responsible : mo.ResponsibleAction(f);
-        g.last_action_resp = responsible;
-        g.aggregated_if_first = changed;
+        g.first_fallback = a.responsible != kNoAction ? a.responsible
+                                                      : mo.ResponsibleAction(f);
+        g.last_action_resp = a.responsible;
+        g.aggregated_if_first = a.changed;
         if (options.track_provenance) {
           if (const std::vector<FactId>* prov = mo.Provenance(f)) {
             g.sources = *prov;
@@ -289,7 +325,7 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
         // through the precompiled fold (same CombineMeasure calls).
         fold.Fold(g.meas.data(), mo.FactMeasures(f).data());
         g.aggregated_if_first = true;  // two members make the group aggregated
-        if (responsible != kNoAction) g.last_action_resp = responsible;
+        if (a.responsible != kNoAction) g.last_action_resp = a.responsible;
         if (options.track_provenance) {
           if (const std::vector<FactId>* prov = mo.Provenance(f)) {
             g.sources.insert(g.sources.end(), prov->begin(), prov->end());
@@ -298,36 +334,7 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
           }
         }
       }
-      return true;
-    };
-    // Vectorized assignment: transpose row-major MO chunks into column
-    // scratch, evaluate every compiled action predicate chunk-at-a-time, then
-    // hand each fact its precomputed lane weights (vm::PredProgram::EvalBatch
-    // contract: bitwise the per-fact program result).
-    constexpr size_t kChunk = FactTable::kBatchRows;
-    const size_t nact = progs.size();
-    vm::PredProgram::BatchScratch scratch;
-    std::vector<ValueId> cols(ndims * kChunk);
-    std::vector<const ValueId*> colp(ndims);
-    for (size_t d = 0; d < ndims; ++d) colp[d] = cols.data() + d * kChunk;
-    std::vector<double> lanes(nact * kChunk);
-    std::vector<double> row_w(nact);
-    for (FactId f0 = begin; f0 < end; f0 += kChunk) {
-      const size_t n = std::min<size_t>(kChunk, end - f0);
-      for (size_t i = 0; i < n; ++i) {
-        const ValueId* row = mo.FactCoords(f0 + i).data();
-        for (size_t d = 0; d < ndims; ++d) cols[d * kChunk + i] = row[d];
-      }
-      for (size_t a = 0; a < nact; ++a) {
-        if (const vm::PredProgram* p = progs[a].get()) {
-          p->EvalBatch(colp.data(), n, lanes.data() + a * kChunk, &scratch);
-        }
-      }
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t a = 0; a < nact; ++a) row_w[a] = lanes[a * kChunk + i];
-        if (!process(f0 + i, row_w.data())) return;
-      }
-    }
+    });
   });
 
   // Deterministic merge, ascending shard order, reproducing the interleaved

@@ -148,6 +148,7 @@ Status SubcubeManager::BuildLayout() {
 }
 
 Status SubcubeManager::InsertBottomFacts(const MultidimensionalObject& batch) {
+  std::lock_guard<std::mutex> writer(cache_->writer_mutex());
   std::unique_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
   EpochBumpGuard bump(*cache_);
   if (batch.num_dimensions() != dims_.size() ||
@@ -337,30 +338,61 @@ Status SubcubeManager::RestoreRow(size_t cube, std::span<const ValueId> cell,
           " names no value of dimension " + dims_[d]->name());
     }
   }
+  std::lock_guard<std::mutex> writer(cache_->writer_mutex());
   std::unique_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
   cubes_[cube]->table.Append(cell, measures);
   cache_->BumpEpoch();
   return Status::OK();
 }
 
-Result<std::vector<std::vector<size_t>>> SubcubeManager::PlanSynchronize(
-    int64_t now_day) const {
+Result<SyncPlan> SubcubeManager::PlanSynchronize(int64_t now_day) const {
+  obs::TraceSpan span("subcube.sync.plan");
+  SyncPlan plan;
+  obs::OpProfile& prof = plan.profile;
+  prof.op = "subcube.sync";
+  prof.trace_id = span.context().trace_id;
+  prof.now_day = now_day;
+  prof.parallel = true;  // plan fans out over the pool; apply is serial
+
   std::shared_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
-  auto plans = PlanSynchronizeLocked(now_day, /*roll=*/false, nullptr,
-                                     "cancel.sync.plan");
-  if (!plans.ok()) return runtime::CountAbort(plans.status());
-  std::vector<std::vector<size_t>> targets;
-  targets.reserve(plans.value().size());
-  for (CubeSyncPlan& plan : plans.value()) {
-    targets.push_back(std::move(plan.target));
+  plan.epoch = prof.epoch = cache_->epoch();
+  prof.fan_out = static_cast<int64_t>(cubes_.size());
+  // Synchronization examines every row, so the whole pass is charged against
+  // the operation's row budget once, up front: an over-budget pass never
+  // plans.
+  int64_t pass_rows = 0;
+  for (const auto& c : cubes_) {
+    pass_rows += static_cast<int64_t>(c->table.num_rows());
   }
-  return targets;
+  Status planned = runtime::CurrentOpContext().ChargeRows(pass_rows);
+  if (planned.ok()) {
+    auto cubes = PlanSynchronizeLocked(now_day, /*roll=*/true, &prof,
+                                       "cancel.sync.plan");
+    if (cubes.ok()) {
+      plan.cubes = cubes.take();
+    } else {
+      planned = cubes.status();
+    }
+  }
+  prof.total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
+  if (!planned.ok()) {
+    // Abort finalization: stamp the outcome (so the flight recorder shows
+    // *why* the pass produced nothing) and count the aborted operation once.
+    // Planning is read-only, so the tables, epoch and caches are untouched.
+    planned = runtime::CountAbort(std::move(planned));
+    if (runtime::IsAbort(planned.code())) {
+      prof.outcome = runtime::OutcomeLabel(planned.code());
+      obs::FlightRecorder::Global().Record(prof);
+    }
+    return planned;
+  }
+  prof.AddStage("plan", prof.total_us);
+  return plan;
 }
 
-Result<std::vector<SubcubeManager::CubeSyncPlan>>
-SubcubeManager::PlanSynchronizeLocked(int64_t now_day, bool roll,
-                                      obs::OpProfile* profile,
-                                      const char* poll_site) const {
+Result<std::vector<CubeSyncPlan>> SubcubeManager::PlanSynchronizeLocked(
+    int64_t now_day, bool roll, obs::OpProfile* profile,
+    const char* poll_site) const {
   // Per-action predicate programs (src/vm), compiled once for the whole
   // pass and shared read-only by every plan shard; null slots interpret.
   const SpecPrograms progs = CompileSpecPrograms(now_day);
@@ -462,57 +494,45 @@ SubcubeManager::PlanSynchronizeLocked(int64_t now_day, bool roll,
 
 Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
                                            obs::OpProfile* profile) {
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Histogram& sync_latency = registry.GetHistogram(
-      "dwred_subcube_sync_seconds", obs::DefaultLatencyBuckets(),
-      "wall time of one subcube synchronization pass (Section 7.2)");
-  obs::TraceSpan span("subcube.sync", &sync_latency);
-
-  // Profile into the caller's slot when given one, else into a local so the
-  // flight recorder still sees every pass.
-  obs::OpProfile local_profile;
-  obs::OpProfile* prof = profile != nullptr ? profile : &local_profile;
-  prof->op = "subcube.sync";
-  prof->trace_id = span.context().trace_id;
-  prof->now_day = now_day;
-  prof->parallel = true;  // plan fans out over the pool; apply is serial
-  prof->fan_out = static_cast<int64_t>(cubes_.size());
-  obs::StageTimer stage_timer;
-
-  // Abort finalization: stamp the profile with the abort outcome (so EXPLAIN
-  // and the flight recorder show *why* the pass produced nothing) and count
-  // the aborted operation once. Only reached from the read-only plan phase,
-  // before bump.Arm() — the tables, epoch, and caches are untouched.
-  auto abort_sync = [&](Status s) -> Status {
-    s = runtime::CountAbort(std::move(s));
-    if (runtime::IsAbort(s.code())) {
-      prof->outcome = runtime::OutcomeLabel(s.code());
-      prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
-      obs::FlightRecorder::Global().Record(*prof);
+  obs::TraceSpan span("subcube.sync");
+  std::lock_guard<std::mutex> writer(cache_->writer_mutex());
+  Result<SyncPlan> plan = PlanSynchronize(now_day);
+  if (!plan.ok()) {
+    if (profile != nullptr) {
+      profile->op = "subcube.sync";
+      profile->outcome = runtime::OutcomeLabel(plan.status().code());
     }
-    return s;
-  };
+    return plan.status();
+  }
+  return ApplySynchronizeLocked(plan.value(), profile);
+}
 
+Result<size_t> SubcubeManager::ApplySynchronize(const SyncPlan& plan,
+                                                obs::OpProfile* profile) {
+  std::lock_guard<std::mutex> writer(cache_->writer_mutex());
+  return ApplySynchronizeLocked(plan, profile);
+}
+
+Result<size_t> SubcubeManager::ApplySynchronizeLocked(
+    const SyncPlan& plan, obs::OpProfile* profile) {
+  obs::TraceSpan span("subcube.sync.apply");
+  obs::StageTimer stage_timer;
   // Writers are exclusive: no query may observe a half-migrated manifest.
   std::unique_lock<std::shared_mutex> snapshot_lock(cache_->snapshot_mutex());
-  EpochBumpGuard bump(*cache_);
-  prof->epoch = cache_->epoch();
-
-  // Synchronization examines every row, so the whole pass is charged against
-  // the operation's row budget once, up front: an over-budget pass never
-  // plans.
-  int64_t pass_rows = 0;
-  for (const auto& c : cubes_) {
-    pass_rows += static_cast<int64_t>(c->table.num_rows());
+  // The plan holds row indices into the tables it read; any writer since
+  // then (every one bumps the epoch) invalidates them.
+  if (plan.epoch != cache_->epoch() || plan.cubes.size() != cubes_.size()) {
+    return Status::InvalidArgument(
+        "stale synchronize plan: planned at epoch " +
+        std::to_string(plan.epoch) + ", the warehouse is at epoch " +
+        std::to_string(cache_->epoch()));
   }
-  DWRED_RETURN_IF_ERROR(
-      abort_sync(runtime::CurrentOpContext().ChargeRows(pass_rows)));
-  auto plans_r =
-      PlanSynchronizeLocked(now_day, /*roll=*/true, prof, "cancel.sync.plan");
-  if (!plans_r.ok()) return abort_sync(plans_r.status());
-  const std::vector<CubeSyncPlan> plans = plans_r.take();
-  prof->AddStage("plan", stage_timer.LapMicros());
-
+  EpochBumpGuard bump(*cache_);
+  // The pass profile continues the plan's, into the caller's slot when given
+  // one, else into a local so the flight recorder still sees every pass.
+  obs::OpProfile local_profile;
+  obs::OpProfile* prof = profile != nullptr ? profile : &local_profile;
+  *prof = plan.profile;
   std::vector<AggFn> aggs;
   for (const auto& m : measures_) aggs.push_back(m.agg);
   size_t migrated = 0;
@@ -532,14 +552,14 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   std::vector<bool> received(cubes_.size(), false);
   for (size_t i = 0; i < cubes_.size(); ++i) {
     Subcube& cube = *cubes_[i];
-    const CubeSyncPlan& plan = plans[i];
+    const CubeSyncPlan& cube_plan = plan.cubes[i];
     std::vector<bool> erase(cube.table.num_rows(), false);
     // Cursor scan over the pre-pass rows (appends from earlier cubes sit in
     // the tail, past the planned rows); only *other* cubes' tables are
     // mutated.
     cube.table.ForEachRow(
-        0, plan.target.size(), [&](RowId r, const FactTable::RowRef& row) {
-          size_t target = plan.target[r];
+        0, cube_plan.target.size(), [&](RowId r, const FactTable::RowRef& row) {
+          size_t target = cube_plan.target[r];
           if (target == i) return;
           if (target == kDeletedCell) {
             // A deletion action claims the row: physical deletion, no
@@ -549,8 +569,8 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
             ++deleted;
             return;
           }
-          std::copy(plan.rolled.begin() + r * ndims,
-                    plan.rolled.begin() + (r + 1) * ndims, cell.begin());
+          std::copy(cube_plan.rolled.begin() + r * ndims,
+                    cube_plan.rolled.begin() + (r + 1) * ndims, cell.begin());
           for (size_t m = 0; m < nmeas; ++m) meas[m] = row.measure(m);
           cubes_[target]->table.Append(cell, meas);
           erase[r] = true;
@@ -570,6 +590,10 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   }
   prof->AddStage("compact", stage_timer.LapMicros());
 
+  auto& registry = obs::MetricsRegistry::Global();
+  static obs::Histogram& sync_latency = registry.GetHistogram(
+      "dwred_subcube_sync_seconds", obs::DefaultLatencyBuckets(),
+      "wall time of one subcube synchronization pass (Section 7.2)");
   static obs::Counter& c_syncs = registry.GetCounter(
       "dwred_subcube_syncs", "completed synchronization passes");
   static obs::Counter& c_migrated = registry.GetCounter(
@@ -591,11 +615,16 @@ Result<size_t> SubcubeManager::Synchronize(int64_t now_day,
   prof->AddCounter("rows_migrated", static_cast<int64_t>(migrated));
   prof->AddCounter("rows_deleted", static_cast<int64_t>(deleted));
   prof->AddCounter("cells_compacted", static_cast<int64_t>(compacted));
-  prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
+  // The pass's engine time: its plan plus this apply (a durable pass
+  // journals its intent between the two; that wait is the journal's).
+  prof->trace_id = span.context().trace_id;
+  prof->total_us = plan.profile.total_us +
+                   static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
+  sync_latency.Record(prof->total_us * 1e-6);
   static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.sync");
   op_hist.Record(prof->total_us * 1e-6);
   obs::FlightRecorder::Global().Record(*prof);
-  DWRED_LOG(Debug) << "subcube sync at day " << now_day << ": " << migrated
+  DWRED_LOG(Debug) << "subcube sync at day " << prof->now_day << ": " << migrated
                    << " rows migrated, " << deleted << " deleted, "
                    << compacted << " compacted";
   return migrated;
@@ -1079,6 +1108,7 @@ Status SubcubeManager::ChangeSpecification(ReductionSpecification new_spec,
   // specification change cannot unwind cleanly once rows start moving, so an
   // already-cancelled or expired context is rejected up front and never after.
   DWRED_RETURN_IF_ERROR(runtime::CountAbort(runtime::CurrentOpContext().Check()));
+  std::lock_guard<std::mutex> writer(cache_->writer_mutex());
   std::unique_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
   EpochBumpGuard bump(*cache_);
   bump.Arm();  // the layout swap below always invalidates cached results
@@ -1133,6 +1163,7 @@ size_t SubcubeManager::TotalBytes() const {
 }
 
 std::string SubcubeManager::DescribeLayout() const {
+  std::shared_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
   std::string out;
   for (size_t i = 0; i < cubes_.size(); ++i) {
     const Subcube& c = *cubes_[i];

@@ -10,10 +10,12 @@
 // eq. (44)).
 //
 // As NOW advances, facts stop satisfying their cube's region and must migrate
-// to the responsible child cube (Section 7.2, Figure 7): Synchronize() scans
-// every cube bottom-up, moves rows directly to their responsible cube at its
-// granularity, and compacts cells that received data from several parents
-// ("aggregated one final time").
+// to the responsible child cube (Section 7.2, Figure 7). Synchronize() makes
+// the section's two steps explicit: PlanSynchronize decides every row's
+// responsible cube and rolled cell (a SyncPlan value, under the shared
+// lock), and ApplySynchronize moves rows directly to their responsible cube
+// at its granularity and compacts cells that received data from several
+// parents ("aggregated one final time"), under the exclusive lock.
 //
 // Queries (Section 7.3, Figures 8 and 9) are evaluated per subcube and the
 // subresults combined with one final availability-approach aggregation —
@@ -48,6 +50,30 @@ struct Subcube {
   Subcube(size_t ndims, size_t nmeas) : table(ndims, nmeas) {}
 };
 
+/// One subcube's part of a SyncPlan.
+struct CubeSyncPlan {
+  /// Per row, its responsible cube: the cube's own index when the row stays,
+  /// SubcubeManager::kDeletedCell when a deletion action claims it.
+  std::vector<size_t> target;
+  /// Row-major, one cell per row: a migrating row's cell rolled up to its
+  /// target cube's granularity (unset where the row stays or is deleted).
+  std::vector<ValueId> rolled;
+};
+
+/// Section 7.2's first step as a value: every stored row's responsible cube
+/// and each migrating row's rolled cell, planned against one epoch.
+/// SubcubeManager::ApplySynchronize executes it, and the durable layer
+/// digests the same value into the journal intent (io/recovery.h), so the
+/// journaled plan is by construction the applied one.
+struct SyncPlan {
+  uint64_t epoch = 0;  ///< the warehouse epoch the plan read
+  std::vector<CubeSyncPlan> cubes;  ///< one per subcube, in cube order
+  /// The plan phase's share of the pass profile (NOW, the compiled flag,
+  /// rows and segments examined, the "plan" stage, the plan's wall time as
+  /// total_us); ApplySynchronize completes it.
+  obs::OpProfile profile;
+};
+
 /// The synchronization cadence Section 7.2 calls sufficient for the
 /// one-level-out-of-sync assumption: once per "significant time period" —
 /// the second-lowest granularity at which NOW appears in the specification
@@ -75,15 +101,17 @@ class SubcubeManager {
   /// context against which predicates and granularity lists are parsed.
   const MultidimensionalObject& context() const { return ctx_; }
 
-  /// The warehouse's epoch counter, snapshot lock, and query/ScanSpec caches
-  /// (src/cache). Every mutating pass bumps the epoch under the exclusive
-  /// lock; queries run under the shared lock against the epoch they pinned.
+  /// The warehouse's epoch counter, snapshot lock, writer mutex, and
+  /// query/ScanSpec caches (src/cache). Every mutating pass holds the writer
+  /// mutex and bumps the epoch under the exclusive lock; queries run under
+  /// the shared lock against the epoch they pinned.
   cache::WarehouseCache& warehouse_cache() const { return *cache_; }
 
   /// Current warehouse epoch (see cache::WarehouseCache).
   uint64_t epoch() const { return cache_->epoch(); }
 
   /// Bulk-loads new detail facts (bottom granularity) into the bottom cube.
+  /// A writer: holds the writer mutex, then the exclusive snapshot lock.
   Status InsertBottomFacts(const MultidimensionalObject& batch);
 
   /// Sentinel returned by ResponsibleCube when a deletion action (the
@@ -105,22 +133,29 @@ class SubcubeManager {
   using SpecPrograms = std::vector<std::shared_ptr<const vm::PredProgram>>;
   SpecPrograms CompileSpecPrograms(int64_t now_day) const;
 
-  /// The read-only plan phase of Synchronize (Section 7.2): per subcube, for
-  /// every row the cube holds, the index of its responsible cube (the cube's
-  /// own index when the row stays, kDeletedCell when a deletion action
-  /// claims it). Synchronize applies exactly these targets, and the durable
-  /// layer digests them into the journal intent (io/recovery.h), so the two
-  /// can never disagree. Takes the shared snapshot lock; polls the
-  /// "cancel.sync.plan" site per shard but charges no row budget (the pass
-  /// itself does, once).
-  Result<std::vector<std::vector<size_t>>> PlanSynchronize(
-      int64_t now_day) const;
+  /// Section 7.2's first step, read-only: plans every stored row's move at
+  /// `now_day` (see SyncPlan). Runs under the shared snapshot lock, so
+  /// queries proceed while it plans. Charges the whole pass against the
+  /// operation's row budget once, up front, and polls "cancel.sync.plan" per
+  /// shard; an abort here leaves nothing behind.
+  Result<SyncPlan> PlanSynchronize(int64_t now_day) const;
+
+  /// Section 7.2's second step: executes `plan` — appends every migrating
+  /// row's rolled cell to its target cube, erases the moved and deleted
+  /// rows, and compacts the receiving cubes — under the writer mutex and the
+  /// exclusive snapshot lock. Refuses a plan whose epoch is no longer the
+  /// warehouse's (InvalidArgument, nothing mutated). Returns the migrated
+  /// rows. A non-null `profile` receives the whole pass's EXPLAIN profile:
+  /// the plan's share plus the "apply" and "compact" stages and the
+  /// migration counters.
+  Result<size_t> ApplySynchronize(const SyncPlan& plan,
+                                  obs::OpProfile* profile = nullptr);
 
   /// Migrates every fact to its responsible subcube at that cube's
-  /// granularity and compacts receiving cubes (Section 7.2). Returns the
-  /// number of migrated rows. A non-null `profile` receives the pass's
-  /// EXPLAIN profile (stage times, rows migrated/deleted/compacted) when
-  /// profiling is enabled (see obs/profile.h).
+  /// granularity and compacts receiving cubes (Section 7.2):
+  /// PlanSynchronize then ApplySynchronize, both under the writer mutex so
+  /// no writer lands between them. Returns the number of migrated rows;
+  /// `profile` as for ApplySynchronize.
   Result<size_t> Synchronize(int64_t now_day,
                              obs::OpProfile* profile = nullptr);
 
@@ -129,7 +164,7 @@ class SubcubeManager {
   /// the row is trusted to be at the cube's granularity because it was
   /// serialized from it. Validates the cube index, the row arity, and that
   /// every coordinate names an interned value of the shared dimensions
-  /// (InvalidArgument otherwise).
+  /// (InvalidArgument otherwise). A writer, like InsertBottomFacts.
   Status RestoreRow(size_t cube, std::span<const ValueId> cell,
                     std::span<const int64_t> measures);
 
@@ -177,13 +212,14 @@ class SubcubeManager {
 
   /// Replaces the specification (Section 7.2's infrequent synchronization):
   /// rebuilds the cube layout and redistributes every fact to its responsible
-  /// cube under the new specification.
+  /// cube under the new specification. A writer, like InsertBottomFacts.
   Status ChangeSpecification(ReductionSpecification new_spec, int64_t now_day);
 
   /// Total fact-storage bytes across the subcubes.
   size_t TotalBytes() const;
 
-  /// One line per subcube: name, granularity, actions, rows.
+  /// One line per subcube: name, granularity, actions, rows. Takes the
+  /// shared snapshot lock.
   std::string DescribeLayout() const;
 
  private:
@@ -228,23 +264,19 @@ class SubcubeManager {
   std::shared_ptr<const vm::RollupProgram> CompileRollup(
       const std::vector<CategoryId>& target) const;
 
-  /// One subcube's synchronization plan: PlanSynchronize's per-row targets
-  /// and, when Synchronize asks for them, each migrating row's cell rolled
-  /// up to its target cube's granularity.
-  struct CubeSyncPlan {
-    std::vector<size_t> target;   ///< one entry per planned row
-    std::vector<ValueId> rolled;  ///< row-major; valid where rows migrate
-  };
-
-  /// PlanSynchronize body; the caller must hold the snapshot lock (shared or
-  /// exclusive). Fills `rolled` only when `roll` is set. Polls `poll_site`
-  /// once per plan shard ("cancel.sync.plan" for Synchronize,
-  /// "cancel.query.route" when a stale query routes). A non-null `profile`
-  /// receives the compiled flag (any action compiled) and the rows and
-  /// segments examined.
+  /// The planner PlanSynchronize and the stale-query routing share; the
+  /// caller must hold the snapshot lock. Fills `rolled` only when `roll` is
+  /// set. Polls `poll_site` once per plan shard ("cancel.sync.plan" for
+  /// PlanSynchronize, "cancel.query.route" when a stale query routes). A
+  /// non-null `profile` receives the compiled flag (any action compiled) and
+  /// the rows and segments examined.
   Result<std::vector<CubeSyncPlan>> PlanSynchronizeLocked(
       int64_t now_day, bool roll, obs::OpProfile* profile,
       const char* poll_site) const;
+
+  /// ApplySynchronize body; the caller must hold the writer mutex.
+  Result<size_t> ApplySynchronizeLocked(const SyncPlan& plan,
+                                        obs::OpProfile* profile);
 
   /// A stale query's routing: PlanSynchronizeLocked's per-row targets of
   /// every cube, and each cube's own rollup tables (null when a dimension is
@@ -288,7 +320,7 @@ class SubcubeManager {
   MultidimensionalObject ctx_;  ///< facts-free evaluation context
   std::vector<std::unique_ptr<Subcube>> cubes_;
   /// Heap-held so the manager stays movable through Result<SubcubeManager>
-  /// (the lock and epoch atomic must never relocate under concurrent use).
+  /// (the locks and epoch atomic must never relocate under concurrent use).
   std::unique_ptr<cache::WarehouseCache> cache_;
 };
 

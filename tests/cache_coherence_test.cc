@@ -4,12 +4,15 @@
 // across epochs, thread counts {1, 4}, and cache on/off, asserting
 // byte-for-byte identical transcripts; the NOW-advance case pins that a
 // NOW-relative predicate re-evaluated at a later day never sees a stale
-// window. The concurrent test (also in the TSan suite, tools/run_tier1.sh)
-// races epoch-pinned readers against mutating writers: any two reads that
-// pinned the same epoch must agree byte for byte.
+// window. The concurrent tests (also in the TSan suite, tools/run_tier1.sh)
+// race epoch-pinned readers against mutating writers: any two reads that
+// pinned the same epoch must agree byte for byte, and two writer threads
+// serialized only by the manager's writer mutex must end where a serial run
+// ends. A synchronize plan that a writer outdated is refused untouched.
 
 #include <cstdlib>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -25,6 +28,7 @@
 #include "chrono/civil.h"
 #include "exec/thread_pool.h"
 #include "mdm/paper_example.h"
+#include "net/command.h"
 #include "obs/metrics.h"
 #include "paper_actions.h"
 #include "spec/parser.h"
@@ -261,6 +265,169 @@ TEST_F(CacheCoherenceTest, ConcurrentReadersAgreePerPinnedEpoch) {
   // not have interleaved with reads on a given run, but every observed epoch
   // was internally consistent.
   EXPECT_GE(by_epoch.size(), 1u);
+}
+
+// A synchronize plan is a value pinned to the epoch it read: once another
+// writer has moved the epoch, applying the plan is refused before any byte,
+// the epoch or the caches move.
+TEST_F(CacheCoherenceTest, StaleSynchronizePlanIsRefused) {
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  const int64_t now = DaysFromCivil({2000, 11, 5});
+  auto plan = mgr->PlanSynchronize(now);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan.value().epoch, mgr->epoch());
+
+  MultidimensionalObject batch("Click", ex.mo->dimensions(),
+                               std::vector<MeasureType>(ex.mo->measure_types()));
+  std::vector<ValueId> cell = {ex.mo->Coord(0, ex.time_dim), ex.url_cnn};
+  std::vector<int64_t> meas = {1, 1, 1, 1};
+  ASSERT_TRUE(batch.AddFact(cell, meas).ok());
+  ASSERT_TRUE(mgr->InsertBottomFacts(batch).ok());
+  // Warm the query cache so "unchanged" covers a live entry.
+  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
+  ASSERT_TRUE(mgr->Query(nullptr, &gran, now, false).ok());
+
+  const uint64_t epoch = mgr->epoch();
+  ASSERT_NE(epoch, plan.value().epoch);
+  const uint32_t crc = net::WarehouseCrc(*mgr);
+  const cache::WarehouseCache::Stats stats = mgr->warehouse_cache().GetStats();
+  auto applied = mgr->ApplySynchronize(plan.value());
+  ASSERT_FALSE(applied.ok());
+  EXPECT_EQ(applied.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(applied.status().message().find("stale"), std::string::npos)
+      << applied.status().ToString();
+  EXPECT_EQ(mgr->epoch(), epoch);
+  EXPECT_EQ(net::WarehouseCrc(*mgr), crc);
+  const cache::WarehouseCache::Stats after = mgr->warehouse_cache().GetStats();
+  EXPECT_EQ(after.epoch, stats.epoch);
+  EXPECT_EQ(after.query_entries, stats.query_entries);
+  EXPECT_EQ(after.scanspec_entries, stats.scanspec_entries);
+  EXPECT_EQ(after.program_entries, stats.program_entries);
+  EXPECT_EQ(after.bytes, stats.bytes);
+
+  // A fresh plan of the same pass applies.
+  auto fresh = mgr->PlanSynchronize(now);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto moved = mgr->ApplySynchronize(fresh.value());
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_GT(moved.value(), 0u);
+  EXPECT_GT(mgr->epoch(), epoch);
+}
+
+/// Key-sorted rendering of an MO's facts by value names, so answers compare
+/// independently of fact order and of ValueId assignment.
+std::string SortedAnswer(const MultidimensionalObject& mo) {
+  std::vector<std::string> lines;
+  for (FactId f = 0; f < mo.num_facts(); ++f) {
+    std::string line;
+    for (size_t d = 0; d < mo.num_dimensions(); ++d) {
+      const auto dd = static_cast<DimensionId>(d);
+      line += mo.dimension(dd)->value_name(mo.Coord(f, dd)) + "|";
+    }
+    for (size_t m = 0; m < mo.num_measures(); ++m) {
+      line += std::to_string(mo.Measure(f, static_cast<MeasureId>(m))) + ",";
+    }
+    lines.push_back(std::move(line));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& l : lines) out += l + "\n";
+  return out;
+}
+
+// Two writer threads — one inserting, one synchronizing — and readers share
+// one bare manager with no lock of their own: the manager's writer mutex
+// alone serializes the writers, a synchronize plans under the shared lock
+// while readers run, and every read is byte-identical per pinned epoch. The
+// readers also run the command layer's snapshot-crc, which must be safe
+// beside writers with no caller-side lock. The final answer (the stale
+// rewrite, which routes every row afresh) equals a serial run's. Runs under
+// TSan in the sanitizer suite.
+TEST_F(CacheCoherenceTest, ConcurrentWritersSerializeOnTheManager) {
+  constexpr int kInserts = 12;
+  constexpr int kSyncs = 6;
+  const int64_t sync_day = DaysFromCivil({2000, 6, 5});
+  const int64_t final_day = DaysFromCivil({2000, 11, 5});
+  auto insert_one = [](SubcubeManager& mgr, const IspExample& ex, int w) {
+    MultidimensionalObject batch("Click", ex.mo->dimensions(),
+                                 std::vector<MeasureType>(
+                                     ex.mo->measure_types()));
+    std::vector<ValueId> cell = {ex.mo->Coord(w % 7, ex.time_dim),
+                                 w % 2 == 0 ? ex.url_cnn : ex.mo->Coord(w % 7, ex.url_dim)};
+    std::vector<int64_t> meas = {1, w, 1, 1};
+    EXPECT_TRUE(batch.AddFact(cell, meas).ok());
+    return mgr.InsertBottomFacts(batch);
+  };
+
+  // Serial reference: every insert, then the synchronizations.
+  IspExample serial_ex;
+  std::unique_ptr<SubcubeManager> serial = MakeWarehouse(&serial_ex);
+  auto gran = ParseGranularityList(*serial_ex.mo, "Time.month, URL.domain").take();
+  for (int w = 0; w < kInserts; ++w) {
+    ASSERT_TRUE(insert_one(*serial, serial_ex, w).ok());
+  }
+  for (int k = 0; k < kSyncs; ++k) {
+    ASSERT_TRUE(serial->Synchronize(sync_day).ok());
+  }
+  auto want = serial->Query(nullptr, &gran, final_day, false);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  std::mutex mu;
+  std::map<uint64_t, std::string> by_epoch;
+  std::atomic<bool> mismatch{false};
+  std::atomic<bool> failed{false};
+  std::atomic<int> writers_left{2};
+  auto reader = [&]() {
+    // Bounded, so reader-preferring lock implementations cannot starve the
+    // writers indefinitely.
+    for (int i = 0; i < 60 && writers_left.load() > 0 && !failed.load();
+         ++i) {
+      uint64_t epoch = 0;
+      auto r = mgr->Query(nullptr, &gran, sync_day, /*assume_synchronized=*/false,
+                          /*parallel=*/false, &epoch);
+      if (!r.ok()) {
+        failed.store(true);
+        return;
+      }
+      net::Request crc;
+      crc.cmd = net::Command::kSnapshotCrc;
+      if (net::Execute(crc, net::CommandTarget{mgr.get()}).code !=
+          StatusCode::kOk) {
+        failed.store(true);
+        return;
+      }
+      std::string fp = Fingerprint(r.value());
+      std::lock_guard<std::mutex> lock(mu);
+      auto [it, inserted] = by_epoch.emplace(epoch, fp);
+      if (!inserted && it->second != fp) mismatch.store(true);
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int w = 0; w < kInserts; ++w) {
+      if (!insert_one(*mgr, ex, w).ok()) failed.store(true);
+    }
+    --writers_left;
+  });
+  threads.emplace_back([&] {
+    for (int k = 0; k < kSyncs; ++k) {
+      if (!mgr->Synchronize(sync_day).ok()) failed.store(true);
+    }
+    --writers_left;
+  });
+  for (int t = 0; t < 2; ++t) threads.emplace_back(reader);
+  for (std::thread& t : threads) t.join();
+  ASSERT_FALSE(failed.load());
+  EXPECT_FALSE(mismatch.load()) << "same pinned epoch, different bytes";
+  // Every write bumped the epoch exactly once.
+  EXPECT_EQ(mgr->epoch(), serial->epoch());
+
+  auto got = mgr->Query(nullptr, &gran, final_day, false);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(SortedAnswer(got.value()), SortedAnswer(want.value()));
 }
 
 }  // namespace

@@ -409,8 +409,8 @@ TEST_P(CancelMatrixTest, TinyRowBudgetExhaustsQueryCleanly) {
 }
 
 TEST_P(CancelMatrixTest, SyncPassChargesRowBudgetOnce) {
-  // The durable pass plans twice — once to digest its journal intent, once
-  // to apply — but only the apply charges: exactly one row per stored row.
+  // The durable pass plans once — the journal intent digests the plan the
+  // apply executes — and that plan charges exactly one row per stored row.
   const std::string dir = base_ + "/charge";
   auto dw_r = BuildSubcubeBase(dir);
   ASSERT_TRUE(dw_r.ok()) << dw_r.status().ToString();

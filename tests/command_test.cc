@@ -132,15 +132,6 @@ TEST(CommandTest, WithoutAWarehouseOnlyWarehouseFreeCommandsAnswer) {
   EXPECT_EQ(q.message, "run 'subcube-init' first");
 }
 
-TEST(CommandTest, MutatingCommandsAreTheWriters) {
-  EXPECT_TRUE(IsMutating(Parse("subcube-sync 2000/11/5")));
-  EXPECT_TRUE(IsMutating(Parse("apply 2000/11/5")));
-  EXPECT_TRUE(IsMutating(Parse("cache clear")));
-  EXPECT_FALSE(IsMutating(Parse("cache")));
-  EXPECT_FALSE(IsMutating(Parse("subcube-query 2000/11/5")));
-  EXPECT_FALSE(IsMutating(Parse("snapshot-crc")));
-}
-
 // The same requests through a bare manager and through an attached durable
 // warehouse leave the same rows and answer the same query bytes; the durable
 // writes are journaled, and a spec change, which is not, is refused.

@@ -20,6 +20,7 @@
 #include "paper_actions.h"
 #include "io/csv.h"
 #include "io/journal.h"
+#include "obs/metrics.h"
 #include "spec/parser.h"
 #include "testing/fault.h"
 #include "testing/spec_gen.h"
@@ -324,6 +325,51 @@ struct SeededWarehouse {
     now = DaysFromCivil(cfg.start) + 900;
   }
 };
+
+int64_t CounterValue(const char* name) {
+  return static_cast<int64_t>(
+      obs::MetricsRegistry::Global().GetCounter(name, "").Value());
+}
+
+int64_t LiveSegments(const SubcubeManager& m) {
+  int64_t segments = 0;
+  for (size_t i = 0; i < m.num_subcubes(); ++i) {
+    segments += static_cast<int64_t>(m.subcube(i).table.num_segments());
+  }
+  return segments;
+}
+
+// A journaled synchronize plans once: the intent digests the plan and the
+// apply executes that same value, so the pass scans every live segment
+// exactly once — and so does its recovery replay, which re-plans once to
+// verify the intent and applies what it verified.
+TEST_F(RecoveryTest, SyncPassAndItsReplayPlanOnce) {
+  SeededWarehouse sw;
+  {
+    auto dw = DurableWarehouse::Create(dir_, std::move(sw.w.mo),
+                                       std::move(sw.spec));
+    ASSERT_TRUE(dw.ok()) << dw.status().ToString();
+    ASSERT_TRUE(dw.value()->EnableSubcubes().ok());
+    ASSERT_TRUE(dw.value()->Checkpoint().ok());
+  }
+  // Reopened from the snapshot, the pre-pass segment layout is the one the
+  // replay below rebuilds.
+  auto live = DurableWarehouse::Open(dir_);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  const int64_t segments = LiveSegments(*live.value()->subcubes());
+  ASSERT_GT(segments, 0);
+  int64_t before = CounterValue("dwred_scan_segments_scanned");
+  ASSERT_TRUE(live.value()->SynchronizePass(sw.now).ok());
+  EXPECT_EQ(CounterValue("dwred_scan_segments_scanned") - before, segments);
+  live.value().reset();
+
+  RecoveryStats stats;
+  before = CounterValue("dwred_scan_segments_scanned");
+  auto replayed = DurableWarehouse::Open(dir_, &stats);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(stats.ops_replayed, 1u);
+  EXPECT_EQ(CounterValue("dwred_scan_segments_scanned") - before, segments);
+}
 
 // Journal compatibility pin: the synchronize and reduce plan digests are the
 // on-disk contract between a journal and the code that replays it (replay

@@ -13,7 +13,9 @@
 //   2. end-to-end oracles at 1 and 8 pool threads — subcube queries, both
 //      synchronized and stale, equal the interpreter-only ReferenceQuery
 //      (src/testing/reference.h); every PlanSynchronize target equals the
-//      interpreted ResponsibleCube of its row; Reduce's output cells are
+//      interpreted ResponsibleCube of its row, and every migrating row's
+//      planned cell its Dimension::Rollup to the target cube's granularity;
+//      Reduce's output cells are
 //      exactly the interpreted CellOf of the surviving input facts, with the
 //      folded measures; and the bytes agree across thread counts;
 //   3. liveness — the VM path demonstrably ran (dwred_vm_compiles moved), and
@@ -383,25 +385,46 @@ void ClassifyFallback(const SubcubeManager& m, std::span<const ValueId> cell,
 }
 
 /// Every row's planned target equals the interpreted ResponsibleCube of its
-/// cell.
+/// cell, and every migrating row's planned cell is its cell rolled up the
+/// hierarchy (Dimension::Rollup) to the target cube's granularity — a
+/// coordinate already above it (⊤-mapped) stays as it is. `rolled` counts the
+/// migrating rows checked.
 void ExpectPlanMatchesInterpreter(const SubcubeManager& m, int64_t now,
-                                  FallbackRows* fallbacks) {
-  auto plans = m.PlanSynchronize(now);
-  ASSERT_TRUE(plans.ok()) << plans.status().message();
-  ASSERT_EQ(plans.value().size(), m.num_subcubes());
+                                  FallbackRows* fallbacks, int64_t* rolled) {
+  auto plan = m.PlanSynchronize(now);
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  EXPECT_EQ(plan.value().epoch, m.epoch());
+  ASSERT_EQ(plan.value().cubes.size(), m.num_subcubes());
   std::vector<ValueId> cell;
   for (size_t i = 0; i < m.num_subcubes(); ++i) {
     const FactTable& t = m.subcube(i).table;
-    const std::vector<size_t>& target = plans.value()[i];
-    ASSERT_EQ(target.size(), t.num_rows());
-    cell.resize(t.num_dims());
+    const size_t nd = t.num_dims();
+    const CubeSyncPlan& cube_plan = plan.value().cubes[i];
+    ASSERT_EQ(cube_plan.target.size(), t.num_rows());
+    ASSERT_EQ(cube_plan.rolled.size(), t.num_rows() * nd);
+    cell.resize(nd);
     for (RowId r = 0; r < t.num_rows(); ++r) {
-      for (size_t d = 0; d < t.num_dims(); ++d) cell[d] = t.Coord(r, d);
+      for (size_t d = 0; d < nd; ++d) cell[d] = t.Coord(r, d);
       auto want = m.ResponsibleCube(cell, now);
       ASSERT_TRUE(want.ok()) << want.status().message();
-      ASSERT_EQ(target[r], want.value())
+      const size_t to = cube_plan.target[r];
+      ASSERT_EQ(to, want.value())
           << "cube " << i << " row " << r << " at now=" << now;
-      ClassifyFallback(m, cell, now, target[r], fallbacks);
+      ClassifyFallback(m, cell, now, to, fallbacks);
+      if (to == i || to == SubcubeManager::kDeletedCell) continue;
+      ++*rolled;
+      const std::vector<CategoryId>& gran = m.subcube(to).granularity;
+      for (size_t d = 0; d < nd; ++d) {
+        const Dimension& dim = *m.context().dimension(static_cast<DimensionId>(d));
+        ValueId up = dim.Rollup(cell[d], gran[d]);
+        if (up == kInvalidValue &&
+            dim.type().Leq(gran[d], dim.value_category(cell[d]))) {
+          up = cell[d];
+        }
+        ASSERT_EQ(cube_plan.rolled[r * nd + d], up)
+            << "cube " << i << " row " << r << " dim " << d << " to cube "
+            << to << " at now=" << now;
+      }
     }
   }
 }
@@ -494,6 +517,7 @@ TEST(VmDifferential, SubcubeMatchesInterpreterOracleAcrossThreads) {
   ASSERT_TRUE(target.ok()) << target.status().message();
 
   FallbackRows fallbacks;
+  int64_t rolled = 0;
   PoolSizeGuard pool_guard;
   for (const ReductionSpecification& spec : specs) {
     const bool deletes = std::any_of(
@@ -533,7 +557,7 @@ TEST(VmDifferential, SubcubeMatchesInterpreterOracleAcrossThreads) {
         query(pred.value().get(), nullptr, now, false);
         query(nullptr, &target.value(), now, false);
         if (::testing::Test::HasFailure()) return;
-        ExpectPlanMatchesInterpreter(m, now, &fallbacks);
+        ExpectPlanMatchesInterpreter(m, now, &fallbacks, &rolled);
         if (::testing::Test::HasFatalFailure()) return;
         auto migrated = m.Synchronize(now);
         ASSERT_TRUE(migrated.ok()) << migrated.status().message();
@@ -561,6 +585,7 @@ TEST(VmDifferential, SubcubeMatchesInterpreterOracleAcrossThreads) {
       << "no ⊤-mapped row reached the responsible action's cube branch";
   EXPECT_GT(fallbacks.last_resort, 0)
       << "no ⊤-mapped row reached the last-resort cube 0 branch";
+  EXPECT_GT(rolled, 0) << "no planned row migrated";
 }
 
 /// An alternating, right-nested AND/OR chain `levels` connectives deep:

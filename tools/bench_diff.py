@@ -3,7 +3,7 @@
 
 Usage:
   tools/bench_diff.py --fresh /tmp/fresh.json [--baseline-dir bench/results]
-                      [--max-slowdown 2.5] [--trajectory BENCH_query.json]
+                      [--max-slowdown 2.5]
 
 The committed baselines are the DWRED_BENCH_SIDECAR JSON files in
 bench/results/ (EXPERIMENTS.md). For every benchmark row in the fresh sidecar
@@ -32,11 +32,6 @@ in-process, so serving never changes bytes — and across all such rows the
 CRCs must agree (the threads x cache sweep serves one warehouse).
 With --min-server-qps > 0, every warm row (cache=1) must additionally sustain
 at least that many requests/second.
-
-With --trajectory, the run is also appended to a top-level trajectory file
-(BENCH_query.json): one entry per run keyed by the sidecar's context date,
-carrying per-benchmark throughput and CRCs. The file is a time series —
-committed snapshots of it record how the numbers move across PRs.
 """
 
 import argparse
@@ -59,7 +54,7 @@ def load_rows(path):
         if row.get("error_occurred"):
             continue
         rows[row["name"]] = row
-    return doc, rows
+    return rows
 
 
 def crc_counters(row):
@@ -119,8 +114,6 @@ def main():
                     help="directory of committed baseline sidecars")
     ap.add_argument("--max-slowdown", type=float, default=2.5,
                     help="fail when baseline/fresh throughput exceeds this")
-    ap.add_argument("--trajectory", default=None,
-                    help="append this run to the given trajectory json")
     ap.add_argument("--min-server-qps", type=float, default=0.0,
                     help="fail when a warm served-query row sustains fewer "
                          "requests/second than this (0 = CRC checks only)")
@@ -130,7 +123,7 @@ def main():
     # sidecar means the benchmark run itself broke, which is a different
     # failure class than a regression (exit 1).
     try:
-        fresh_doc, fresh = load_rows(args.fresh)
+        fresh = load_rows(args.fresh)
     except FileNotFoundError:
         print(f"bench_diff: fresh sidecar not found: {args.fresh}",
               file=sys.stderr)
@@ -154,7 +147,7 @@ def main():
             continue
         path = os.path.join(args.baseline_dir, fname)
         try:
-            _, rows = load_rows(path)
+            rows = load_rows(path)
         except (json.JSONDecodeError, KeyError) as e:
             print(f"bench_diff: skipping unreadable baseline {path}: {e}",
                   file=sys.stderr)
@@ -205,33 +198,6 @@ def main():
                 f"(band {args.max_slowdown}x)")
 
     failures.extend(server_guard(fresh, args.min_server_qps))
-
-    if args.trajectory:
-        entry = {
-            "date": fresh_doc.get("context", {}).get("date", "unknown"),
-            "source": os.path.basename(args.fresh),
-            "benchmarks": {},
-        }
-        for name, row in sorted(fresh.items()):
-            rec = {"real_time_s": time_seconds(row)}
-            if "items_per_second" in row:
-                rec["items_per_second"] = row["items_per_second"]
-            rec.update(crc_counters(row))
-            entry["benchmarks"][name] = rec
-        trajectory = {"runs": []}
-        if os.path.exists(args.trajectory):
-            try:
-                with open(args.trajectory) as f:
-                    trajectory = json.load(f)
-            except json.JSONDecodeError:
-                print(f"bench_diff: resetting unreadable {args.trajectory}",
-                      file=sys.stderr)
-        trajectory.setdefault("runs", []).append(entry)
-        with open(args.trajectory, "w") as f:
-            json.dump(trajectory, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"trajectory: appended run to {args.trajectory} "
-              f"({len(trajectory['runs'])} runs)")
 
     if failures:
         print("\nbench_diff: FAILED", file=sys.stderr)
