@@ -12,10 +12,10 @@
 // inline on the calling thread with a single shard, no threads, no queues.
 //
 // Determinism contract: ParallelFor partitions [0, n) into contiguous
-// ascending shards and ParallelMapReduce folds shard results in ascending
-// shard order, so any computation whose per-shard work is pure and whose
-// combine step is associative over contiguous ranges produces byte-identical
-// results at every thread count (see docs/PARALLELISM.md for the argument).
+// ascending shards, and callers fold per-shard results in ascending shard
+// order, so any computation whose per-shard work is pure and whose combine
+// step is associative over contiguous ranges produces byte-identical results
+// at every thread count (see docs/PARALLELISM.md for the argument).
 //
 // Scheduling: each worker owns a deque; shards are distributed round-robin at
 // submission, workers pop their own deque LIFO and steal FIFO from siblings
@@ -36,7 +36,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
 #include <vector>
 
 namespace dwred::exec {
@@ -92,29 +91,6 @@ class ThreadPool {
   /// per-shard accumulator slots, indexed by shard_index.
   void ParallelForShards(const std::vector<Shard>& shards,
                          const std::function<void(size_t, size_t, size_t)>& fn);
-
-  /// Maps contiguous ascending shards of [0, n) through `map` and folds the
-  /// shard results with `reduce` in ascending shard order:
-  ///   acc = map(s0.begin, s0.end); acc = reduce(move(acc), map(s1...)); ...
-  /// Deterministic for any thread count when `reduce` is associative over
-  /// contiguous ranges. Returns T{} for n == 0.
-  template <typename T, typename MapFn, typename ReduceFn>
-  T ParallelMapReduce(size_t n, size_t grain, MapFn map, ReduceFn reduce) {
-    std::vector<Shard> shards = PartitionShards(
-        n, grain,
-        num_threads_ == 1 ? 1 : static_cast<size_t>(num_threads_) * 4);
-    if (shards.empty()) return T{};
-    if (shards.size() == 1) return map(shards[0].begin, shards[0].end);
-    std::vector<T> results(shards.size());
-    ParallelForShards(shards, [&](size_t i, size_t begin, size_t end) {
-      results[i] = map(begin, end);
-    });
-    T acc = std::move(results[0]);
-    for (size_t i = 1; i < results.size(); ++i) {
-      acc = reduce(std::move(acc), std::move(results[i]));
-    }
-    return acc;
-  }
 
  private:
   struct Impl;

@@ -10,7 +10,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/retry.h"
 #include "testing/fault.h"
 
 namespace dwred {
@@ -131,19 +130,10 @@ Status AtomicWriteFile(const std::string& path, std::string_view content) {
   }
 
   DWRED_RETURN_IF_ERROR(testing::FaultPoint("atomic.rename"));
-  // The rename either replaces `path` whole or leaves it untouched, so a
-  // transient failure is safe to retry. The fault point stays outside the
-  // retried lambda: injected rename faults are deterministic by design.
-  DWRED_RETURN_IF_ERROR(runtime::RetryWithBackoff(
-      runtime::RetryPolicy{},
-      [&]() -> Status {
-        if (::rename(tmp.c_str(), path.c_str()) != 0) {
-          return Status::Internal("rename " + tmp + " -> " + path +
-                                  " failed: " + std::strerror(errno));
-        }
-        return Status::OK();
-      },
-      "atomic-file rename"));
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status::Internal("rename " + tmp + " -> " + path +
+                            " failed: " + std::strerror(errno));
+  }
 
   DWRED_RETURN_IF_ERROR(testing::FaultPoint("atomic.dir.fsync"));
   return FsyncDir(DirOf(path));

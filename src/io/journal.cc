@@ -9,7 +9,6 @@
 #include "io/atomic_file.h"
 #include "io/wire.h"
 #include "obs/metrics.h"
-#include "runtime/retry.h"
 #include "testing/fault.h"
 
 namespace dwred {
@@ -206,13 +205,11 @@ Status Journal::Append(const JournalRecord& rec, const char* write_site,
     off += static_cast<size_t>(n);
   }
   DWRED_RETURN_IF_ERROR(testing::FaultPoint(fsync_site));
-  // Fsync is idempotent, so a transient failure (EINTR-class, momentary
-  // ENOSPC) is retried with backoff before giving up. The framed write loop
-  // above is deliberately NOT retried: re-running it after a partial write
-  // would duplicate bytes and corrupt the framing.
-  DWRED_RETURN_IF_ERROR(runtime::RetryWithBackoff(
-      runtime::RetryPolicy{}, [&] { return FsyncFd(fd_, path_); },
-      "journal fsync"));
+  // One fsync, never retried: after a failed fsync the kernel may already
+  // have marked the dirty pages clean, so a retry can succeed for data that
+  // never reached the disk. The failure surfaces and the durable layer
+  // poisons the warehouse.
+  DWRED_RETURN_IF_ERROR(FsyncFd(fd_, path_));
   RecordsCounter().Increment();
   BytesCounter().Increment(framed.size());
   return Status::OK();
@@ -239,9 +236,7 @@ Status Journal::Reset() {
     return Status::Internal("journal truncate failed: " +
                             std::string(std::strerror(errno)));
   }
-  DWRED_RETURN_IF_ERROR(runtime::RetryWithBackoff(
-      runtime::RetryPolicy{}, [&] { return FsyncFd(fd_, path_); },
-      "journal reset fsync"));
+  DWRED_RETURN_IF_ERROR(FsyncFd(fd_, path_));  // never retried (see Append)
   static obs::Counter& c_resets = obs::MetricsRegistry::Global().GetCounter(
       "dwred_journal_resets",
       "journal truncations after a successful snapshot checkpoint");

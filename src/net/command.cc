@@ -51,13 +51,18 @@ Result<std::string> QueryBody(const Request& req, const SubcubeManager& mgr) {
   }
   const bool explain = (req.flags & kQueryExplain) != 0;
   obs::OpProfile profile;
-  DWRED_ASSIGN_OR_RETURN(
-      MultidimensionalObject result,
+  // Rendering reads the dimensions' value names, which a concurrent insert's
+  // CSV decode extends: render under the query's shared lock.
+  std::string body;
+  DWRED_RETURN_IF_ERROR(
       mgr.Query(pred.get(), req.b.empty() ? nullptr : &gran, req.now_day,
                 (req.flags & kQuerySynchronized) != 0,
                 (req.flags & kQueryParallel) != 0,
-                /*pinned_epoch=*/nullptr, explain ? &profile : nullptr));
-  std::string body = RenderResult(result);
+                /*pinned_epoch=*/nullptr, explain ? &profile : nullptr,
+                [&](const MultidimensionalObject& result) {
+                  body = RenderResult(result);
+                })
+          .status());
   if (explain) body += profile.Render();
   return body;
 }

@@ -16,90 +16,96 @@ namespace dwred {
 
 namespace {
 
-using ActionPrograms = std::vector<std::shared_ptr<const vm::PredProgram>>;
-
-/// Per-action satisfaction test: the compiled 0/1 program when one is
-/// available, the tree interpreter otherwise — byte-identical either way
-/// (docs/COMPILATION.md). `w_pre` (when non-null) is this fact's
-/// batch-precomputed program weight (vm::PredProgram::EvalBatch over a
-/// column chunk); a kOutOfRange lane falls back exactly like per-row Eval.
-bool ActionSatisfied(const Action& a, const vm::PredProgram* prog,
-                     const MultidimensionalObject& mo, FactId f,
-                     int64_t now_day, const double* w_pre = nullptr) {
-  if (prog != nullptr) {
-    const double w =
-        w_pre != nullptr ? *w_pre : prog->Eval(mo.FactCoords(f).data());
-    if (w != vm::PredProgram::kOutOfRange) return w != 0.0;
-    vm::CountFallback();  // coordinate interned after compilation
+/// Completes a fact's routing key — its category tuple, then the actions it
+/// satisfies in action order — by appending the actions `satisfied(a)`
+/// accepts. The first satisfied deletion action ends the list: it decides
+/// the fact alone.
+template <typename Satisfied>
+void AppendSatisfied(const ReductionSpecification& spec, Satisfied satisfied,
+                     std::vector<uint32_t>* key) {
+  for (ActionId a = 0; a < spec.size(); ++a) {
+    if (!satisfied(a)) continue;
+    key->push_back(a);
+    if (spec.action(a).deletes) return;
   }
-  return EvalPredOnFact(*a.predicate, mo, f, now_day);
 }
 
-Result<std::vector<CategoryId>> MaxSpecGranImpl(
-    const MultidimensionalObject& mo, const ReductionSpecification& spec,
-    FactId f, int64_t now_day, ActionId* responsible, bool* deleted,
-    const ActionPrograms* progs, const double* action_w = nullptr) {
-  if (deleted) *deleted = false;
-  std::vector<CategoryId> fact_gran = mo.Gran(f);
-
+/// The decision of every fact with routing key `key`: the one
+/// implementation of the maximum.
+SpecGran DecideSpecGran(const MultidimensionalObject& mo,
+                        const ReductionSpecification& spec,
+                        std::span<const uint32_t> key) {
+  const std::span<const uint32_t> cats = key.first(mo.num_dimensions());
+  SpecGran out;
+  out.gran.assign(cats.begin(), cats.end());
   // Maximum over the satisfied actions (totally ordered for NonCrossing
   // specifications).
   const std::vector<CategoryId>* action_gran = nullptr;
-  ActionId best_action = kNoAction;
-  for (size_t i = 0; i < spec.size(); ++i) {
-    const Action& a = spec.action(static_cast<ActionId>(i));
-    const vm::PredProgram* prog =
-        progs != nullptr && i < progs->size() ? (*progs)[i].get() : nullptr;
-    const double* w_pre =
-        action_w != nullptr && prog != nullptr ? &action_w[i] : nullptr;
-    if (!ActionSatisfied(a, prog, mo, f, now_day, w_pre)) continue;
-    if (a.deletes) {
+  for (const ActionId a : key.subspan(cats.size())) {
+    const Action& act = spec.action(a);
+    if (act.deletes) {
       // Deletion dominates every aggregation level.
-      if (deleted) *deleted = true;
-      if (responsible) *responsible = static_cast<ActionId>(i);
-      return fact_gran;
+      out.deleted = true;
+      out.responsible = a;
+      return out;
     }
-    if (action_gran) {
-      if (GranularityLeq(mo, a.granularity, *action_gran)) continue;
-      if (!GranularityLeq(mo, *action_gran, a.granularity)) {
-        return Status::Internal(
-            "satisfied granularities are not totally ordered for " +
-            mo.FactName(f) + " — specification violates NonCrossing");
+    if (action_gran != nullptr) {
+      if (GranularityLeq(mo, act.granularity, *action_gran)) continue;
+      if (!GranularityLeq(mo, *action_gran, act.granularity)) {
+        out.crossing = true;
+        return out;
       }
     }
-    action_gran = &a.granularity;
-    best_action = static_cast<ActionId>(i);
+    action_gran = &act.granularity;
+    out.responsible = a;
   }
-  if (responsible) *responsible = best_action;
-  if (!action_gran) return fact_gran;
-
+  if (action_gran == nullptr) return out;
   // Combine with the fact's own granularity per dimension (Spec_gran always
   // contains Gran(f)). Tuple comparison suffices for bottom-level facts; the
-  // per-dimension LUB generalizes it to facts mapped to ⊤ in some dimension
-  // ("unknown value"): that dimension stays at ⊤ while the others aggregate.
-  std::vector<CategoryId> best(fact_gran.size());
-  bool higher_than_fact = false;
-  for (size_t d = 0; d < fact_gran.size(); ++d) {
-    const DimensionType& type = mo.dimension(static_cast<DimensionId>(d))->type();
-    best[d] = type.Lub(fact_gran[d], (*action_gran)[d]);
-    if (best[d] != fact_gran[d]) higher_than_fact = true;
+  // per-dimension LUB generalizes it to facts mapped to ⊤ in some dimension.
+  for (size_t d = 0; d < out.gran.size(); ++d) {
+    out.gran[d] = mo.dimension(static_cast<DimensionId>(d))
+                      ->type()
+                      .Lub(cats[d], (*action_gran)[d]);
   }
-  if (!higher_than_fact && responsible) {
-    // The action does not lift the fact anywhere: the fact's own granularity
-    // wins (the action may still be the one historically responsible).
-    *responsible = best_action;
-  }
-  return best;
+  return out;
 }
 
 }  // namespace
+
+Status NonCrossingError(std::string_view what) {
+  return Status::Internal("satisfied granularities are not totally ordered "
+                          "for " + std::string(what) +
+                          " — specification violates NonCrossing");
+}
+
+SpecGran SpecGranOfCell(const MultidimensionalObject& mo,
+                        const ReductionSpecification& spec,
+                        std::span<const ValueId> cell, int64_t now_day) {
+  std::vector<uint32_t> key;
+  for (size_t d = 0; d < cell.size(); ++d) {
+    key.push_back(
+        mo.dimension(static_cast<DimensionId>(d))->value_category(cell[d]));
+  }
+  AppendSatisfied(
+      spec,
+      [&](ActionId a) {
+        return EvalPredOnCell(*spec.action(a).predicate, mo, cell, now_day);
+      },
+      &key);
+  return DecideSpecGran(mo, spec, key);
+}
 
 Result<std::vector<CategoryId>> MaxSpecGran(const MultidimensionalObject& mo,
                                             const ReductionSpecification& spec,
                                             FactId f, int64_t now_day,
                                             ActionId* responsible,
                                             bool* deleted) {
-  return MaxSpecGranImpl(mo, spec, f, now_day, responsible, deleted, nullptr);
+  SpecGran g = SpecGranOfCell(mo, spec, mo.FactCoords(f), now_day);
+  if (g.crossing) return NonCrossingError(mo.FactName(f));
+  if (responsible) *responsible = g.responsible;
+  if (deleted) *deleted = g.deleted;
+  return std::move(g.gran);
 }
 
 Result<std::vector<ValueId>> CellOf(const MultidimensionalObject& mo,
@@ -121,39 +127,91 @@ Result<std::vector<ValueId>> CellOf(const MultidimensionalObject& mo,
   return cell;
 }
 
+ActionPrograms CompileActionPrograms(
+    const MultidimensionalObject& mo, const ReductionSpecification& spec,
+    int64_t now_day,
+    const std::function<std::shared_ptr<const vm::PredProgram>(
+        const PredExpr&, const CompileStep&)>& memo) {
+  const scan::AtomOracle oracle = vm::SpecAtomOracle(mo, now_day);
+  ActionPrograms progs;
+  progs.reserve(spec.size());
+  for (const Action& a : spec.actions()) {
+    const CompileStep compile = [&]() -> std::shared_ptr<const vm::PredProgram> {
+      auto compiled = vm::PredProgram::Compile(mo, *a.predicate, oracle);
+      if (!compiled) return nullptr;  // null slot: interpret that action
+      return std::make_shared<const vm::PredProgram>(std::move(*compiled));
+    };
+    progs.push_back(memo ? memo(*a.predicate, compile) : compile());
+  }
+  return progs;
+}
+
 CellAssigner::CellAssigner(const MultidimensionalObject& mo,
                            const ReductionSpecification& spec,
                            int64_t now_day)
-    : mo_(mo), spec_(spec), now_day_(now_day) {
-  // One compiled program per action (null slots for predicates the compiler
-  // rejects).
-  progs_.reserve(spec.size());
-  const scan::AtomOracle oracle = vm::SpecAtomOracle(mo, now_day);
-  for (size_t i = 0; i < spec.size(); ++i) {
-    const Action& a = spec.action(static_cast<ActionId>(i));
-    auto compiled = vm::PredProgram::Compile(mo, *a.predicate, oracle);
-    progs_.push_back(compiled ? std::make_shared<const vm::PredProgram>(
-                                    std::move(*compiled))
-                              : nullptr);
+    : CellAssigner(mo, spec, now_day,
+                   CompileActionPrograms(mo, spec, now_day)) {}
+
+CellAssigner::CellAssigner(const MultidimensionalObject& mo,
+                           const ReductionSpecification& spec,
+                           int64_t now_day, ActionPrograms progs)
+    : mo_(mo), spec_(spec), now_day_(now_day), progs_(std::move(progs)) {}
+
+void CellAssigner::Decide(const ValueId* const* cols, size_t n, Shard* shard,
+                          uint32_t* ids) const {
+  constexpr size_t kLanes = FactTable::kBatchRows;
+  const size_t ndims = mo_.num_dimensions();
+  shard->lanes.resize(progs_.size() * kLanes);
+  shard->cell.resize(ndims);
+  for (size_t a = 0; a < progs_.size(); ++a) {
+    if (const vm::PredProgram* p = progs_[a].get()) {
+      p->EvalBatch(cols, n, shard->lanes.data() + a * kLanes, &shard->scratch);
+    }
+  }
+  std::vector<uint32_t>& key = shard->key;
+  for (size_t k = 0; k < n; ++k) {
+    key.clear();
+    for (size_t d = 0; d < ndims; ++d) {
+      key.push_back(mo_.dimension(static_cast<DimensionId>(d))
+                        ->value_category(cols[d][k]));
+    }
+    bool have_cell = false;
+    AppendSatisfied(
+        spec_,
+        [&](ActionId a) {
+          if (progs_[a] != nullptr) {
+            const double w = shard->lanes[a * kLanes + k];
+            if (w != vm::PredProgram::kOutOfRange) return w != 0.0;
+            vm::CountFallback();  // coordinate interned after compilation
+          }
+          if (!have_cell) {
+            for (size_t d = 0; d < ndims; ++d) shard->cell[d] = cols[d][k];
+            have_cell = true;
+          }
+          return EvalPredOnCell(*spec_.action(a).predicate, mo_, shard->cell,
+                                now_day_);
+        },
+        &key);
+    auto [it, fresh] = shard->memo.try_emplace(
+        key, static_cast<uint32_t>(shard->decisions.size()));
+    if (fresh) shard->decisions.push_back(DecideSpecGran(mo_, spec_, key));
+    ids[k] = it->second;
   }
 }
 
 Status CellAssigner::Assign(
     FactId begin, FactId end,
     const std::function<void(const CellAssignment&)>& visit) const {
-  // Vectorized: transpose row-major MO chunks into column scratch, evaluate
-  // every compiled action predicate chunk-at-a-time, then hand each fact its
-  // precomputed lane weights (vm::PredProgram::EvalBatch contract: bitwise
-  // the per-fact program result).
+  // Row-major MO chunks are transposed into column scratch and decided
+  // chunk-at-a-time; each fact then rolls its direct cell up to its decided
+  // granularity.
   constexpr size_t kChunk = FactTable::kBatchRows;
   const size_t ndims = mo_.num_dimensions();
-  const size_t nact = progs_.size();
-  vm::PredProgram::BatchScratch scratch;
+  Shard shard;
   std::vector<ValueId> cols(ndims * kChunk);
   std::vector<const ValueId*> colp(ndims);
   for (size_t d = 0; d < ndims; ++d) colp[d] = cols.data() + d * kChunk;
-  std::vector<double> lanes(nact * kChunk);
-  std::vector<double> row_w(nact);
+  std::vector<uint32_t> ids(kChunk);
   std::vector<ValueId> cell(ndims);
   CellAssignment out;
   for (FactId f0 = begin; f0 < end; f0 += kChunk) {
@@ -162,29 +220,23 @@ Status CellAssigner::Assign(
       const ValueId* row = mo_.FactCoords(f0 + i).data();
       for (size_t d = 0; d < ndims; ++d) cols[d * kChunk + i] = row[d];
     }
-    for (size_t a = 0; a < nact; ++a) {
-      if (const vm::PredProgram* p = progs_[a].get()) {
-        p->EvalBatch(colp.data(), n, lanes.data() + a * kChunk, &scratch);
-      }
-    }
+    Decide(colp.data(), n, &shard, ids.data());
     for (size_t i = 0; i < n; ++i) {
       const FactId f = f0 + i;
-      for (size_t a = 0; a < nact; ++a) row_w[a] = lanes[a * kChunk + i];
+      const SpecGran& g = shard.decisions[ids[i]];
+      if (g.crossing) return NonCrossingError(mo_.FactName(f));
       out.fact = f;
-      out.responsible = kNoAction;
-      DWRED_ASSIGN_OR_RETURN(
-          std::vector<CategoryId> gran,
-          MaxSpecGranImpl(mo_, spec_, f, now_day_, &out.responsible,
-                          &out.deleted, &progs_, row_w.data()));
+      out.deleted = g.deleted;
+      out.responsible = g.responsible;
       out.changed = false;
       for (size_t d = 0; d < ndims; ++d) {
-        auto dd = static_cast<DimensionId>(d);
-        const ValueId direct = mo_.Coord(f, dd);
+        const ValueId direct = cols[d * kChunk + i];
         if (out.deleted) {
           cell[d] = direct;
           continue;
         }
-        const ValueId v = mo_.dimension(dd)->Rollup(direct, gran[d]);
+        const ValueId v =
+            mo_.dimension(static_cast<DimensionId>(d))->Rollup(direct, g.gran[d]);
         if (v == kInvalidValue) {
           return Status::Internal("no rollup to target granularity for " +
                                   mo_.FactName(f));
@@ -267,7 +319,7 @@ Result<MultidimensionalObject> Reduce(const MultidimensionalObject& mo,
     Status error = Status::OK();  // first error; shard stops there
   };
 
-  // The per-action predicate programs and the measure fold, compiled once
+  // The assignment's action programs and the measure fold, compiled once
   // for the whole pass (src/vm) and shared read-only by every shard.
   const CellAssigner assigner(mo, spec, now_day);
   const vm::FoldProgram fold = vm::FoldProgram::Compile(mo.measure_types());

@@ -4,7 +4,6 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "exec/thread_pool.h"
@@ -178,124 +177,40 @@ Status SubcubeManager::InsertBottomFacts(const MultidimensionalObject& batch) {
 
 Result<size_t> SubcubeManager::ResponsibleCube(std::span<const ValueId> cell,
                                                int64_t now_day) const {
-  return ResponsibleCubeWith(cell, now_day, nullptr);
+  const SpecGran g = SpecGranOfCell(ctx_, spec_, cell, now_day);
+  if (g.crossing) return NonCrossingError("a cell");
+  return CubeOf(g);
 }
 
-SubcubeManager::SpecPrograms SubcubeManager::CompileSpecPrograms(
-    int64_t now_day) const {
-  SpecPrograms progs;
-  progs.reserve(spec_.size());
-  const scan::AtomOracle oracle = vm::SpecAtomOracle(ctx_, now_day);
-  for (ActionId a = 0; a < spec_.size(); ++a) {
-    const PredExpr& pred = *spec_.action(a).predicate;
-    const std::string key = cache::ProgramFingerprint(
-        ctx_, pred, now_day, cache_->epoch(), "spec");
-    std::shared_ptr<const vm::PredProgram> prog = cache_->LookupProgram(key);
-    if (prog == nullptr) {
-      if (auto compiled = vm::PredProgram::Compile(ctx_, pred, oracle)) {
-        prog = cache_->InsertProgram(
-            key,
-            std::make_shared<const vm::PredProgram>(std::move(*compiled)));
-      }
-    }
-    progs.push_back(std::move(prog));  // null slot: interpret that action
-  }
-  return progs;
-}
-
-Result<size_t> SubcubeManager::ResponsibleCubeWith(
-    std::span<const ValueId> cell, int64_t now_day,
-    const SpecPrograms* progs) const {
-  std::vector<uint32_t> key;
-  RouteKey(cell, now_day, progs, /*action_w=*/nullptr, &key);
-  return Route(key);
-}
-
-void SubcubeManager::RouteKey(std::span<const ValueId> cell, int64_t now_day,
-                              const SpecPrograms* progs,
-                              const double* action_w,
-                              std::vector<uint32_t>* key) const {
-  key->clear();
-  for (size_t d = 0; d < dims_.size(); ++d) {
-    key->push_back(dims_[d]->value_category(cell[d]));
-  }
-  for (ActionId a = 0; a < spec_.size(); ++a) {
-    const Action& act = spec_.action(a);
-    bool satisfied;
-    const vm::PredProgram* prog =
-        progs != nullptr && a < progs->size() ? (*progs)[a].get() : nullptr;
-    if (prog != nullptr) {
-      // Batch-precomputed lane weight when available, else evaluate here;
-      // both are bitwise the same program on the same cell.
-      const double w = action_w != nullptr ? action_w[a] : prog->Eval(cell.data());
-      if (w == vm::PredProgram::kOutOfRange) {
-        vm::CountFallback();  // coordinate interned after compilation
-        satisfied = EvalPredOnCell(*act.predicate, ctx_, cell, now_day);
-      } else {
-        satisfied = w != 0.0;
-      }
-    } else {
-      satisfied = EvalPredOnCell(*act.predicate, ctx_, cell, now_day);
-    }
-    if (!satisfied) continue;
-    key->push_back(a);
-    if (act.deletes) return;  // decides the row alone (see Route)
-  }
-}
-
-Result<size_t> SubcubeManager::Route(std::span<const uint32_t> key) const {
-  const std::span<const CategoryId> cell_gran = key.first(dims_.size());
-  const std::vector<CategoryId>* action_gran = nullptr;
-  for (const ActionId a : key.subspan(dims_.size())) {
-    const Action& act = spec_.action(a);
-    if (act.deletes) return kDeletedCell;
-    if (action_gran) {
-      if (GranularityLeq(ctx_, act.granularity, *action_gran)) continue;
-      if (!GranularityLeq(ctx_, *action_gran, act.granularity)) {
-        return Status::Internal(
-            "responsible-action granularities are not totally ordered "
-            "(NonCrossing violation)");
-      }
-    }
-    action_gran = &act.granularity;
-  }
-  // Per-dimension LUB with the cell's own granularity — ⊤-mapped
-  // coordinates ("unknown value") stay at ⊤ while the other dimensions
-  // follow the responsible action.
-  std::vector<CategoryId> best(cell_gran.begin(), cell_gran.end());
-  if (action_gran) {
-    for (size_t d = 0; d < best.size(); ++d) {
-      best[d] = dims_[d]->type().Lub(cell_gran[d], (*action_gran)[d]);
-    }
-  }
+size_t SubcubeManager::CubeOf(const SpecGran& g) const {
+  if (g.deleted) return kDeletedCell;
   for (size_t i = 0; i < cubes_.size(); ++i) {
-    if (cubes_[i]->granularity == best) return i;
+    if (cubes_[i]->granularity == g.gran) return i;
   }
-  // A ⊤-mapped coordinate lifts `best` above the responsible action's
+  // A ⊤-mapped coordinate lifts Spec_gran above the responsible action's
   // granularity; such rows live in the responsible action's cube with their
   // coarse coordinate as-is (queries use availability semantics anyway).
-  if (action_gran) {
+  if (g.responsible != kNoAction) {
+    const std::vector<CategoryId>& action_gran =
+        spec_.action(g.responsible).granularity;
     for (size_t i = 0; i < cubes_.size(); ++i) {
-      if (cubes_[i]->granularity == *action_gran) return i;
+      if (cubes_[i]->granularity == action_gran) return i;
     }
   }
-  // The cell's granularity matches no cube (e.g. after a specification
-  // change): place it in the minimal cube at or above it.
+  // Spec_gran matches no cube (e.g. after a specification change): place the
+  // row in the minimal cube at or above it.
   size_t chosen = cubes_.size();
   for (size_t i = 0; i < cubes_.size(); ++i) {
-    if (!GranularityLeq(ctx_, best, cubes_[i]->granularity)) continue;
+    if (!GranularityLeq(ctx_, g.gran, cubes_[i]->granularity)) continue;
     if (chosen == cubes_.size() ||
         GranularityLeq(ctx_, cubes_[i]->granularity,
                        cubes_[chosen]->granularity)) {
       chosen = i;
     }
   }
-  if (chosen == cubes_.size()) {
-    // Last resort (e.g. a fresh fact ⊤-mapped in some dimension, claimed by
-    // no action): it stays in the bottom cube with its coordinates as-is.
-    return size_t{0};
-  }
-  return chosen;
+  // Last resort (e.g. a fresh fact ⊤-mapped in some dimension, claimed by no
+  // action): it stays in the bottom cube with its coordinates as-is.
+  return chosen == cubes_.size() ? 0 : chosen;
 }
 
 Result<std::vector<ValueId>> SubcubeManager::RollCell(
@@ -366,8 +281,8 @@ Result<SyncPlan> SubcubeManager::PlanSynchronize(int64_t now_day) const {
   }
   Status planned = runtime::CurrentOpContext().ChargeRows(pass_rows);
   if (planned.ok()) {
-    auto cubes = PlanSynchronizeLocked(now_day, /*roll=*/true, &prof,
-                                       "cancel.sync.plan");
+    auto cubes =
+        PlanLocked(cubes_, now_day, Roll::kMoving, &prof, "cancel.sync.plan");
     if (cubes.ok()) {
       plan.cubes = cubes.take();
     } else {
@@ -390,39 +305,47 @@ Result<SyncPlan> SubcubeManager::PlanSynchronize(int64_t now_day) const {
   return plan;
 }
 
-Result<std::vector<CubeSyncPlan>> SubcubeManager::PlanSynchronizeLocked(
-    int64_t now_day, bool roll, obs::OpProfile* profile,
-    const char* poll_site) const {
-  // Per-action predicate programs (src/vm), compiled once for the whole
-  // pass and shared read-only by every plan shard; null slots interpret.
-  const SpecPrograms progs = CompileSpecPrograms(now_day);
+Result<std::vector<CubeSyncPlan>> SubcubeManager::PlanLocked(
+    const std::vector<std::unique_ptr<Subcube>>& sources, int64_t now_day,
+    Roll roll, obs::OpProfile* profile, const char* poll_site) const {
+  // Definition 2's assignment with the action programs compiled once for the
+  // whole pass — through the program LRU, per (predicate, NOW day, epoch) —
+  // and shared read-only by every plan shard; null slots interpret.
+  const CellAssigner assigner(
+      ctx_, spec_, now_day,
+      CompileActionPrograms(
+          ctx_, spec_, now_day,
+          [&](const PredExpr& pred, const CompileStep& compile) {
+            const std::string key = cache::ProgramFingerprint(
+                ctx_, pred, now_day, cache_->epoch(), "spec");
+            if (auto hit = cache_->LookupProgram(key)) return hit;
+            std::shared_ptr<const vm::PredProgram> prog = compile();
+            if (prog == nullptr) return prog;
+            return cache_->InsertProgram(key, std::move(prog));
+          }));
   if (profile != nullptr) {
-    profile->compiled =
-        std::any_of(progs.begin(), progs.end(),
-                    [](const auto& prog) { return prog != nullptr; });
+    profile->compiled = std::any_of(
+        assigner.programs().begin(), assigner.programs().end(),
+        [](const auto& prog) { return prog != nullptr; });
   }
   const size_t ndims = dims_.size();
-  const size_t nact = progs.size();
   constexpr size_t kLanes = FactTable::kBatchRows;
 
   // --- Parallel plan (docs/PARALLELISM.md) --------------------------------
   // A row's destination depends only on its cell, the specification and
   // now_day — never on other rows or on table contents — so the per-row
-  // migration decisions (ResponsibleCube + RollCell) fan out over each
-  // cube's storage segments (the natural shard unit, docs/STORAGE.md),
-  // read-only. Synchronization must examine *every* row, so the scan plan is
-  // unpruned. Every compiled action predicate runs chunk-at-a-time over the
-  // segment columns; each row's routing key (category tuple + satisfied
-  // actions) then reads the precomputed lanes, and the LUB walk runs once
-  // per distinct key per shard (Route is a pure function of the key). The
-  // result is identical at every thread count.
-  std::vector<CubeSyncPlan> plans(cubes_.size());
-  for (size_t i = 0; i < cubes_.size(); ++i) {
+  // decisions fan out over each source cube's storage segments (the natural
+  // shard unit, docs/STORAGE.md), read-only. Every row is routed, so the
+  // scan plan is unpruned. The assignment decides each segment chunk at a
+  // time and memoizes its decisions per shard; each distinct decision is
+  // mapped to its cube once. The result is identical at every thread count.
+  std::vector<CubeSyncPlan> plans(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
     CubeSyncPlan& plan = plans[i];
-    const Subcube& cube = *cubes_[i];
+    const Subcube& cube = *sources[i];
     const size_t rows = cube.table.num_rows();
     plan.target.resize(rows);
-    if (roll) plan.rolled.resize(rows * ndims);
+    if (roll != Roll::kNone) plan.rolled.resize(rows * ndims);
     scan::ScanPlan splan =
         scan::PlanTableScan(cube.table, scan::ScanSpec::All());
     // First error per shard (the shard stops there).
@@ -432,43 +355,34 @@ Result<std::vector<CubeSyncPlan>> SubcubeManager::PlanSynchronizeLocked(
       // read-only: cancelling any plan shard abandons the whole pass with
       // nothing mutated.
       Status& err = shard_error[si];
-      err = runtime::PollCancel(poll_site);
+      if (poll_site != nullptr) err = runtime::PollCancel(poll_site);
       if (!err.ok()) return;
-      vm::PredProgram::BatchScratch scratch;
-      std::vector<double> lanes(nact * kLanes);
-      std::vector<double> row_w(nact);
+      CellAssigner::Shard shard;
+      std::vector<size_t> cube_of;  // decision id -> its cube
+      std::vector<uint32_t> ids(kLanes);
       std::vector<ValueId> row_cell(ndims);
-      std::vector<uint32_t> key;
-      std::unordered_map<std::vector<uint32_t>, size_t, CellKeyHash> memo;
       cube.table.ForEachDimBatch(
           begin, end, [&](const FactTable::BatchView& b) {
             if (!err.ok()) return;
             const size_t n = b.rows();
-            for (ActionId a = 0; a < nact; ++a) {
-              if (const vm::PredProgram* prog = progs[a].get()) {
-                prog->EvalBatch(b.dim_cols(), n, lanes.data() + a * kLanes,
-                                &scratch);
-              }
-            }
+            assigner.Decide(b.dim_cols(), n, &shard, ids.data());
             for (size_t k = 0; k < n; ++k) {
-              for (size_t d = 0; d < ndims; ++d) row_cell[d] = b.dim_col(d)[k];
-              for (ActionId a = 0; a < nact; ++a) {
-                row_w[a] = lanes[a * kLanes + k];
-              }
-              const RowId r = b.first_row() + k;
-              RouteKey(row_cell, now_day, &progs, row_w.data(), &key);
-              auto hit = memo.find(key);
-              if (hit == memo.end()) {
-                auto target_r = Route(key);
-                if (!target_r.ok()) {
-                  err = target_r.status();
+              if (ids[k] == cube_of.size()) {  // a decision first seen here
+                const SpecGran& g = shard.decisions[ids[k]];
+                if (g.crossing) {
+                  err = NonCrossingError("a row of " + cube.name);
                   return;
                 }
-                hit = memo.emplace(key, target_r.value()).first;
+                cube_of.push_back(CubeOf(g));
               }
-              const size_t target = hit->second;
+              const size_t target = cube_of[ids[k]];
+              const RowId r = b.first_row() + k;
               plan.target[r] = target;
-              if (!roll || target == i || target == kDeletedCell) continue;
+              if (roll == Roll::kNone || target == kDeletedCell ||
+                  (roll == Roll::kMoving && target == i)) {
+                continue;
+              }
+              for (size_t d = 0; d < ndims; ++d) row_cell[d] = b.dim_col(d)[k];
               auto rolled_r = RollCell(row_cell, cubes_[target]->granularity);
               if (!rolled_r.ok()) {
                 err = rolled_r.status();
@@ -546,9 +460,9 @@ Result<size_t> SubcubeManager::ApplySynchronizeLocked(
   // Serial apply (docs/PARALLELISM.md): the mutations (appends, erases,
   // counters) replay in (cube, row) order, so the resulting tables — and the
   // journal intent digested from the same plan — are byte-identical at every
-  // thread count. From here on the caches must be dropped even if a later
-  // step fails.
-  bump.Arm();
+  // thread count. The bump is armed at the first row that moves, so a pass
+  // that moves nothing keeps the epoch and every cache; from that row on
+  // the caches must be dropped even if a later step fails.
   std::vector<bool> received(cubes_.size(), false);
   for (size_t i = 0; i < cubes_.size(); ++i) {
     Subcube& cube = *cubes_[i];
@@ -561,6 +475,7 @@ Result<size_t> SubcubeManager::ApplySynchronizeLocked(
         0, cube_plan.target.size(), [&](RowId r, const FactTable::RowRef& row) {
           size_t target = cube_plan.target[r];
           if (target == i) return;
+          bump.Arm();
           if (target == kDeletedCell) {
             // A deletion action claims the row: physical deletion, no
             // migration.
@@ -807,8 +722,8 @@ SubcubeManager::QuerySubresultsLocked(
     }
     DWRED_RETURN_IF_ERROR(runtime::CurrentOpContext().ChargeRows(routed_rows));
     DWRED_ASSIGN_OR_RETURN(
-        stale.plans, PlanSynchronizeLocked(now_day, /*roll=*/false, nullptr,
-                                           "cancel.query.route"));
+        stale.plans, PlanLocked(cubes_, now_day, Roll::kNone, nullptr,
+                                "cancel.query.route"));
     for (const auto& c : cubes_) {
       stale.cube_rollups.push_back(CompileRollup(c->granularity));
     }
@@ -960,7 +875,8 @@ SubcubeManager::QuerySubresultsLocked(
 Result<MultidimensionalObject> SubcubeManager::Query(
     const PredExpr* pred, const std::vector<CategoryId>* target,
     int64_t now_day, bool assume_synchronized, bool parallel,
-    uint64_t* pinned_epoch, obs::OpProfile* profile) const {
+    uint64_t* pinned_epoch, obs::OpProfile* profile,
+    const std::function<void(const MultidimensionalObject&)>& visit) const {
   auto& registry = obs::MetricsRegistry::Global();
   static obs::Histogram& query_latency = registry.GetHistogram(
       "dwred_subcube_query_seconds", obs::DefaultLatencyBuckets(),
@@ -1044,6 +960,7 @@ Result<MultidimensionalObject> SubcubeManager::Query(
       prof->fingerprint = obs::Fnv1a64(key);
     }
     obs::FlightRecorder::Global().Record(*prof);
+    if (visit) visit(*hit);
     return *hit;
   }
   // Miss path: the scan dwarfs the hash, so always fingerprint.
@@ -1099,6 +1016,7 @@ Result<MultidimensionalObject> SubcubeManager::Query(
   static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.query");
   op_hist.Record(prof->total_us * 1e-6);
   obs::FlightRecorder::Global().Record(*prof);
+  if (visit) visit(unioned);
   return unioned;
 }
 
@@ -1112,44 +1030,36 @@ Status SubcubeManager::ChangeSpecification(ReductionSpecification new_spec,
   std::unique_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
   EpochBumpGuard bump(*cache_);
   bump.Arm();  // the layout swap below always invalidates cached results
-  // Stash every row, swap the specification, rebuild the layout, then
-  // redistribute (Section 7.2's infrequent synchronization: "data is moved
-  // from all old subcubes, not only from parent cubes").
-  struct Row {
-    std::vector<ValueId> cell;
-    std::vector<int64_t> meas;
-  };
-  std::vector<Row> rows;
+  // Swap in the new specification and its empty layout, plan the old cubes'
+  // rows against them through the synchronize planner, then move every row
+  // to its responsible cube (Section 7.2's infrequent synchronization: "data
+  // is moved from all old subcubes, not only from parent cubes"). The plan
+  // polls no abort site, and a plan that fails restores the old
+  // specification and layout before any row moved.
+  std::swap(spec_, new_spec);
+  std::vector<std::unique_ptr<Subcube>> old = std::move(cubes_);
+  DWRED_RETURN_IF_ERROR(BuildLayout());
+  auto plans = PlanLocked(old, now_day, Roll::kAll, nullptr, nullptr);
+  if (!plans.ok()) {
+    spec_ = std::move(new_spec);
+    cubes_ = std::move(old);
+    return plans.status();
+  }
   const size_t ndims = dims_.size();
-  const size_t nmeas = measures_.size();
-  for (const auto& c : cubes_) {
-    c->table.ForEachRow(
-        0, c->table.num_rows(), [&](RowId, const FactTable::RowRef& ref) {
-          Row row;
-          row.cell.resize(ndims);
-          for (size_t d = 0; d < ndims; ++d) row.cell[d] = ref.coord(d);
-          row.meas.resize(nmeas);
-          for (size_t m = 0; m < nmeas; ++m) row.meas[m] = ref.measure(m);
-          rows.push_back(std::move(row));
+  std::vector<int64_t> meas(measures_.size());
+  for (size_t i = 0; i < old.size(); ++i) {
+    const CubeSyncPlan& plan = plans.value()[i];
+    old[i]->table.ForEachRow(
+        0, plan.target.size(), [&](RowId r, const FactTable::RowRef& row) {
+          const size_t target = plan.target[r];
+          if (target == kDeletedCell) return;  // claimed by a deletion action
+          for (size_t m = 0; m < meas.size(); ++m) meas[m] = row.measure(m);
+          cubes_[target]->table.Append(
+              std::span(plan.rolled).subspan(r * ndims, ndims), meas);
         });
   }
-
-  spec_ = std::move(new_spec);
-  DWRED_RETURN_IF_ERROR(BuildLayout());
-
   std::vector<AggFn> aggs;
   for (const auto& m : measures_) aggs.push_back(m.agg);
-  // Compiled after the layout swap so the programs reflect the new actions.
-  const SpecPrograms progs = CompileSpecPrograms(now_day);
-  for (const Row& row : rows) {
-    auto target_res = ResponsibleCubeWith(row.cell, now_day, &progs);
-    if (!target_res.ok()) return target_res.status();
-    size_t target = target_res.value();
-    if (target == kDeletedCell) continue;  // claimed by a deletion action
-    auto rolled = RollCell(row.cell, cubes_[target]->granularity);
-    if (!rolled.ok()) return rolled.status();
-    cubes_[target]->table.Append(rolled.value(), row.meas);
-  }
   for (auto& c : cubes_) {
     DWRED_RETURN_IF_ERROR(c->table.CompactCells(aggs).status());
   }

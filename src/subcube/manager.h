@@ -9,6 +9,13 @@
 // satisfying no action live in the bottom cube — the residual action a'_⊥ of
 // eq. (44)).
 //
+// Where a fact goes is Definition 2's decision, made by the one compiled
+// Spec_gran assignment (reduce/semantics.h: CellAssigner) that Reduce uses
+// too. This layer keeps only the mapping from a decision to its cube
+// (CubeOf, with the ⊤ fallbacks) and the rollup of a moving row to its
+// cube's granularity (RollCell), in one planner that Synchronize, the
+// stale-query route and the specification change share.
+//
 // As NOW advances, facts stop satisfying their cube's region and must migrate
 // to the responsible child cube (Section 7.2, Figure 7). Synchronize() makes
 // the section's two steps explicit: PlanSynchronize decides every row's
@@ -25,12 +32,14 @@
 // strictly-finer cube, filtered to the facts the cube is *currently*
 // responsible for, aggregated to the cube's granularity.
 
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "cache/cache.h"
 #include "obs/profile.h"
 #include "query/operators.h"
+#include "reduce/semantics.h"
 #include "spec/action.h"
 #include "storage/fact_table.h"
 
@@ -121,17 +130,10 @@ class SubcubeManager {
 
   /// The index of the subcube responsible for a fact with the given direct
   /// cell at time `now_day` (0 = bottom cube; kDeletedCell when a deletion
-  /// action claims the cell).
+  /// action claims the cell), every action interpreted (SpecGranOfCell): the
+  /// oracle of the planner's compiled routing.
   Result<size_t> ResponsibleCube(std::span<const ValueId> cell,
                                  int64_t now_day) const;
-
-  /// One compiled 0/1 program per specification action (src/vm). Slots whose
-  /// predicate the compiler rejects are null — those actions interpret per
-  /// row. The hot responsibility passes (Synchronize, ChangeSpecification,
-  /// the unsynchronized query rewrite) compile once and reuse across every
-  /// row.
-  using SpecPrograms = std::vector<std::shared_ptr<const vm::PredProgram>>;
-  SpecPrograms CompileSpecPrograms(int64_t now_day) const;
 
   /// Section 7.2's first step, read-only: plans every stored row's move at
   /// `now_day` (see SyncPlan). Runs under the shared snapshot lock, so
@@ -194,14 +196,16 @@ class SubcubeManager {
   /// scanned vs. pruned, rows skipped, per-stage wall times (see
   /// obs/profile.h). On the pruned path the profile's segment/row totals
   /// equal the dwred_scan_segments_* / dwred_scan_rows_skipped counter
-  /// deltas exactly.
-  Result<MultidimensionalObject> Query(const PredExpr* pred,
-                                       const std::vector<CategoryId>* target,
-                                       int64_t now_day,
-                                       bool assume_synchronized,
-                                       bool parallel = false,
-                                       uint64_t* pinned_epoch = nullptr,
-                                       obs::OpProfile* profile = nullptr) const;
+  /// deltas exactly. A set `visit` runs on the result, hit or miss, before
+  /// the shared lock is released: it may read the shared dimensions (value
+  /// names, for rendering) that a concurrent insert's CSV decode extends
+  /// under the exclusive lock.
+  Result<MultidimensionalObject> Query(
+      const PredExpr* pred, const std::vector<CategoryId>* target,
+      int64_t now_day, bool assume_synchronized, bool parallel = false,
+      uint64_t* pinned_epoch = nullptr, obs::OpProfile* profile = nullptr,
+      const std::function<void(const MultidimensionalObject&)>& visit =
+          nullptr) const;
 
   /// Per-cube subresults of a query (exposed to reproduce Figure 8's S0..S4).
   /// Takes the shared snapshot lock like Query (but only Query consults the
@@ -211,8 +215,11 @@ class SubcubeManager {
       int64_t now_day, bool assume_synchronized, bool parallel = false) const;
 
   /// Replaces the specification (Section 7.2's infrequent synchronization):
-  /// rebuilds the cube layout and redistributes every fact to its responsible
-  /// cube under the new specification. A writer, like InsertBottomFacts.
+  /// rebuilds the cube layout, plans every old cube's rows against it
+  /// through the synchronize planner, and moves each row to its responsible
+  /// cube under the new specification. Checks the operation context once,
+  /// up front; a plan that fails restores the old specification and layout.
+  /// A writer, like InsertBottomFacts.
   Status ChangeSpecification(ReductionSpecification new_spec, int64_t now_day);
 
   /// Total fact-storage bytes across the subcubes.
@@ -235,28 +242,11 @@ class SubcubeManager {
   Result<std::vector<ValueId>> RollCell(std::span<const ValueId> cell,
                                         const std::vector<CategoryId>& gran) const;
 
-  /// ResponsibleCube body: Route(RouteKey(...)). `progs` (when non-null and
-  /// non-empty) supplies compiled per-action predicate programs,
-  /// byte-identical to interpreting.
-  Result<size_t> ResponsibleCubeWith(std::span<const ValueId> cell,
-                                     int64_t now_day,
-                                     const SpecPrograms* progs) const;
-
-  /// A cell's routing key: its category tuple (one CategoryId per
-  /// dimension) followed by the actions it satisfies, in action order,
-  /// ending at the first satisfied deletion action (which decides the cell
-  /// alone). `progs` as for ResponsibleCubeWith. `action_w` (when non-null)
-  /// carries this cell's batch-precomputed weight per action
-  /// (vm::PredProgram::EvalBatch over a column chunk); a lane at
-  /// kOutOfRange — or an action with no program — falls back to the same
-  /// per-row evaluation the non-batch path uses.
-  void RouteKey(std::span<const ValueId> cell, int64_t now_day,
-                const SpecPrograms* progs, const double* action_w,
-                std::vector<uint32_t>* key) const;
-
-  /// The responsible cube of every cell with routing key `key` — a pure
-  /// function of the key, so the synchronize planner memoizes it per shard.
-  Result<size_t> Route(std::span<const uint32_t> key) const;
+  /// The cube a fact with decision `g` lives in (Section 7: the cube of its
+  /// Spec_gran), or kDeletedCell. A ⊤-mapped coordinate can lift Spec_gran
+  /// above every cube; such a fact lives in the responsible action's cube,
+  /// else in the minimal cube above its Spec_gran, else in the bottom cube.
+  size_t CubeOf(const SpecGran& g) const;
 
   /// The rollup tables for one target granularity, compiled once and cached
   /// per (granularity, epoch) in the program LRU. Null when a dimension is
@@ -264,21 +254,30 @@ class SubcubeManager {
   std::shared_ptr<const vm::RollupProgram> CompileRollup(
       const std::vector<CategoryId>& target) const;
 
-  /// The planner PlanSynchronize and the stale-query routing share; the
-  /// caller must hold the snapshot lock. Fills `rolled` only when `roll` is
-  /// set. Polls `poll_site` once per plan shard ("cancel.sync.plan" for
-  /// PlanSynchronize, "cancel.query.route" when a stale query routes). A
-  /// non-null `profile` receives the compiled flag (any action compiled) and
-  /// the rows and segments examined.
-  Result<std::vector<CubeSyncPlan>> PlanSynchronizeLocked(
-      int64_t now_day, bool roll, obs::OpProfile* profile,
-      const char* poll_site) const;
+  /// Which rows a plan rolls up to its target cube's granularity: none (the
+  /// stale-query route), the rows leaving their cube (Synchronize), or every
+  /// surviving row (a specification change, which moves every row into a
+  /// new layout).
+  enum class Roll { kNone, kMoving, kAll };
+
+  /// The one routing planner: decides every row of `sources`' tables through
+  /// the compiled Spec_gran assignment (CellAssigner) and maps it to a cube
+  /// of the current layout (CubeOf); the caller must hold the snapshot lock.
+  /// Synchronize, the stale-query route and the durable synchronize digest
+  /// plan the current cubes; a specification change plans the old cubes
+  /// against the new layout. A non-null `poll_site` is polled once per plan
+  /// shard ("cancel.sync.plan" for PlanSynchronize, "cancel.query.route"
+  /// when a stale query routes). A non-null `profile` receives the compiled
+  /// flag (any action compiled) and the rows and segments examined.
+  Result<std::vector<CubeSyncPlan>> PlanLocked(
+      const std::vector<std::unique_ptr<Subcube>>& sources, int64_t now_day,
+      Roll roll, obs::OpProfile* profile, const char* poll_site) const;
 
   /// ApplySynchronize body; the caller must hold the writer mutex.
   Result<size_t> ApplySynchronizeLocked(const SyncPlan& plan,
                                         obs::OpProfile* profile);
 
-  /// A stale query's routing: PlanSynchronizeLocked's per-row targets of
+  /// A stale query's routing: PlanLocked's per-row targets of
   /// every cube, and each cube's own rollup tables (null when a dimension is
   /// too large to enumerate).
   struct StaleRoute {

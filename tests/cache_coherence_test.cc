@@ -8,7 +8,9 @@
 // race epoch-pinned readers against mutating writers: any two reads that
 // pinned the same epoch must agree byte for byte, and two writer threads
 // serialized only by the manager's writer mutex must end where a serial run
-// ends. A synchronize plan that a writer outdated is refused untouched.
+// ends. A synchronize plan that a writer outdated is refused untouched, one
+// that moves nothing keeps the epoch, and a served query renders its answer
+// under its own snapshot lock while a served insert interns new days.
 
 #include <cstdlib>
 
@@ -315,6 +317,79 @@ TEST_F(CacheCoherenceTest, StaleSynchronizePlanIsRefused) {
   EXPECT_GT(mgr->epoch(), epoch);
 }
 
+// A synchronize that moves no row mutates nothing, so it keeps the epoch —
+// and with it every cached result: the next identical query is a hit.
+TEST_F(CacheCoherenceTest, SynchronizeThatMovesNothingKeepsTheEpoch) {
+  obs::Counter& hits =
+      obs::MetricsRegistry::Global().GetCounter("dwred_cache_query_hits");
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
+  const int64_t now = DaysFromCivil({2000, 11, 5});
+  auto moved = mgr->Synchronize(now);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  ASSERT_GT(moved.value(), 0u);
+  auto first = mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/true);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+
+  const uint64_t epoch = mgr->epoch();
+  auto again = mgr->Synchronize(now);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value(), 0u);
+  EXPECT_EQ(mgr->epoch(), epoch);
+  const uint64_t hits_before = hits.Value();
+  auto second = mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/true);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(hits.Value(), hits_before + 1);
+  EXPECT_EQ(Fingerprint(second.value()), Fingerprint(first.value()));
+}
+
+// Served queries render their answers — dimension value names — while a
+// served insert's CSV decode interns new days into the same dimensions under
+// the exclusive lock, so a query must render before it releases its shared
+// lock. Runs under TSan in the sanitizer suite, which reports the race when
+// a query renders after unlocking.
+TEST_F(CacheCoherenceTest, ServedQueriesRenderUnderTheSnapshotLock) {
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  const net::CommandTarget target{mgr.get()};
+  std::atomic<bool> writing{true};
+  std::atomic<bool> failed{false};
+  auto reader = [&] {
+    net::Request query;
+    query.cmd = net::Command::kQuery;
+    query.now_day = DaysFromCivil({2000, 11, 5});
+    query.b = "Time.month, URL.domain";
+    while (writing.load()) {
+      if (net::Execute(query, target).code != StatusCode::kOk) {
+        failed.store(true);
+      }
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) readers.emplace_back(reader);
+  // Every insert brings the days of a month no fact has mentioned yet.
+  for (int k = 0; k < 24; ++k) {
+    const std::string month = std::to_string(2001 + k / 12) + "/" +
+                              std::to_string(k % 12 + 1) + "/";
+    net::Request insert;
+    insert.cmd = net::Command::kInsert;
+    insert.a =
+        "Time:category,Time:value,URL:category,URL:value,"
+        "Number_of,Dwell_time,Delivery_time,Datasize\n";
+    for (int day = 1; day <= 28; ++day) {
+      insert.a += "day," + month + std::to_string(day) +
+                  ",url,www.cnn.com,1,10,1,1\n";
+    }
+    if (net::Execute(insert, target).code != StatusCode::kOk) {
+      failed.store(true);
+    }
+  }
+  writing.store(false);
+  for (std::thread& t : readers) t.join();
+  EXPECT_FALSE(failed.load());
+}
+
 /// Key-sorted rendering of an MO's facts by value names, so answers compare
 /// independently of fact order and of ValueId assignment.
 std::string SortedAnswer(const MultidimensionalObject& mo) {
@@ -364,6 +439,7 @@ TEST_F(CacheCoherenceTest, ConcurrentWritersSerializeOnTheManager) {
   IspExample serial_ex;
   std::unique_ptr<SubcubeManager> serial = MakeWarehouse(&serial_ex);
   auto gran = ParseGranularityList(*serial_ex.mo, "Time.month, URL.domain").take();
+  const uint64_t base_epoch = serial->epoch();
   for (int w = 0; w < kInserts; ++w) {
     ASSERT_TRUE(insert_one(*serial, serial_ex, w).ok());
   }
@@ -380,6 +456,7 @@ TEST_F(CacheCoherenceTest, ConcurrentWritersSerializeOnTheManager) {
   std::atomic<bool> mismatch{false};
   std::atomic<bool> failed{false};
   std::atomic<int> writers_left{2};
+  int moving_syncs = 0;  // synchronizations that moved a row
   auto reader = [&]() {
     // Bounded, so reader-preferring lock implementations cannot starve the
     // writers indefinitely.
@@ -414,7 +491,9 @@ TEST_F(CacheCoherenceTest, ConcurrentWritersSerializeOnTheManager) {
   });
   threads.emplace_back([&] {
     for (int k = 0; k < kSyncs; ++k) {
-      if (!mgr->Synchronize(sync_day).ok()) failed.store(true);
+      auto moved = mgr->Synchronize(sync_day);
+      if (!moved.ok()) failed.store(true);
+      moving_syncs += moved.ok() && moved.value() > 0;
     }
     --writers_left;
   });
@@ -422,8 +501,9 @@ TEST_F(CacheCoherenceTest, ConcurrentWritersSerializeOnTheManager) {
   for (std::thread& t : threads) t.join();
   ASSERT_FALSE(failed.load());
   EXPECT_FALSE(mismatch.load()) << "same pinned epoch, different bytes";
-  // Every write bumped the epoch exactly once.
-  EXPECT_EQ(mgr->epoch(), serial->epoch());
+  // Every insert bumped the epoch once, and so did every synchronization
+  // that moved a row; one that moved nothing kept it.
+  EXPECT_EQ(mgr->epoch(), base_epoch + kInserts + moving_syncs);
 
   auto got = mgr->Query(nullptr, &gran, final_day, false);
   ASSERT_TRUE(got.ok()) << got.status().ToString();

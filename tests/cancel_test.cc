@@ -1,8 +1,8 @@
 // Unit tests for the robustness runtime (docs/ROBUSTNESS.md): cancel tokens,
 // deadlines, row budgets, thread-local context propagation through the
-// thread pool, the admission governor's wait-then-shed backpressure, and the
-// retry-with-backoff helper. The end-to-end clean-abort guarantees live in
-// cancel_matrix_test.cc; this file pins the building blocks.
+// thread pool, and the admission governor's wait-then-shed backpressure. The
+// end-to-end clean-abort guarantees live in cancel_matrix_test.cc; this file
+// pins the building blocks.
 
 #include "runtime/cancel.h"
 
@@ -21,7 +21,6 @@
 #include "obs/metrics.h"
 #include "paper_actions.h"
 #include "runtime/governor.h"
-#include "runtime/retry.h"
 #include "spec/parser.h"
 #include "subcube/manager.h"
 #include "testing/fault.h"
@@ -274,95 +273,6 @@ TEST_F(CancelTest, GovernorWakesWaiterOnRelease) {
   waiter.join();
   EXPECT_TRUE(admitted.ok()) << admitted.ToString();
   EXPECT_EQ(gov.inflight(), 0);
-}
-
-// --- RetryWithBackoff -------------------------------------------------------
-
-TEST_F(CancelTest, RetrySucceedsAfterTransientFailures) {
-  int calls = 0;
-  Status s = runtime::RetryWithBackoff(
-      runtime::RetryPolicy{},
-      [&] {
-        ++calls;
-        return calls < 3 ? Status::Internal("transient") : Status::OK();
-      },
-      "unit op");
-  EXPECT_TRUE(s.ok());
-  EXPECT_EQ(calls, 3);
-}
-
-TEST_F(CancelTest, RetryGivesUpAfterMaxAttempts) {
-  int calls = 0;
-  runtime::RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_us = 1;
-  Status s = runtime::RetryWithBackoff(
-      policy,
-      [&] {
-        ++calls;
-        return Status::Internal("still down");
-      },
-      "unit op");
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_EQ(calls, 3);
-}
-
-TEST_F(CancelTest, RetryDoesNotRetryNonInternalOrAbortCodes) {
-  int calls = 0;
-  Status s = runtime::RetryWithBackoff(
-      runtime::RetryPolicy{},
-      [&] {
-        ++calls;
-        return Status::InvalidArgument("caller bug");
-      },
-      "unit op");
-  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(calls, 1);
-
-  calls = 0;
-  s = runtime::RetryWithBackoff(
-      runtime::RetryPolicy{},
-      [&] {
-        ++calls;
-        return Status::Cancelled("stop");
-      },
-      "unit op");
-  EXPECT_EQ(s.code(), StatusCode::kCancelled);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST_F(CancelTest, RetryNeverRetriesInjectedFaults) {
-  // The durability tests arm "fail the Nth fsync" and assert the failure
-  // surfaces; a retry would absorb the injection and break their contract.
-  testing::FaultInjector::Global().Arm("retry.unit.site", 1,
-                                       testing::FaultMode::kError);
-  int calls = 0;
-  Status s = runtime::RetryWithBackoff(
-      runtime::RetryPolicy{},
-      [&] {
-        ++calls;
-        return testing::FaultPoint("retry.unit.site");
-      },
-      "unit op");
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_EQ(calls, 1);
-}
-
-TEST_F(CancelTest, RetryStopsBackingOffWhenContextCancelled) {
-  runtime::OpContext ctx;
-  ctx.token = runtime::CancelToken::Create();
-  ctx.token.Cancel();
-  runtime::ScopedOpContext scope(ctx);
-  int calls = 0;
-  Status s = runtime::RetryWithBackoff(
-      runtime::RetryPolicy{},
-      [&] {
-        ++calls;
-        return Status::Internal("transient");
-      },
-      "unit op");
-  EXPECT_EQ(s.code(), StatusCode::kCancelled);
-  EXPECT_EQ(calls, 1);  // cancelled between attempt 1 and 2
 }
 
 // --- Oversubscription torture ----------------------------------------------

@@ -1,13 +1,11 @@
 // Tests for the work-stealing thread pool (src/exec): sharding, the exact
-// serial fallback, determinism of the ascending-order merge, nested
-// operations, concurrent external submitters (the TSan stress surface), and
+// serial fallback, each shard's exact range, nested operations, concurrent external submitters (the TSan stress surface), and
 // fork safety.
 
 #include "exec/thread_pool.h"
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -90,29 +88,6 @@ TEST(ThreadPool, ParallelForShardsSeesItsExactShard) {
   for (size_t i = 0; i < shards.size(); ++i) {
     EXPECT_EQ(seen[i].first, shards[i].begin);
     EXPECT_EQ(seen[i].second, shards[i].end);
-  }
-}
-
-// The determinism contract: an order-sensitive fold (concatenation) must
-// come out in ascending index order at every thread count.
-TEST(ThreadPool, MapReduceFoldsInAscendingShardOrder) {
-  const size_t n = 50000;
-  std::vector<size_t> expected(n);
-  std::iota(expected.begin(), expected.end(), 0u);
-  for (int threads : {1, 2, 4, 8}) {
-    ThreadPool pool(threads);
-    auto result = pool.ParallelMapReduce<std::vector<size_t>>(
-        n, 128,
-        [](size_t begin, size_t end) {
-          std::vector<size_t> v(end - begin);
-          std::iota(v.begin(), v.end(), begin);
-          return v;
-        },
-        [](std::vector<size_t> a, std::vector<size_t> b) {
-          a.insert(a.end(), b.begin(), b.end());
-          return a;
-        });
-    EXPECT_EQ(result, expected) << "threads=" << threads;
   }
 }
 

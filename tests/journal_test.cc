@@ -1,6 +1,7 @@
 // Write-ahead journal tests: record framing round trips, torn-tail
-// tolerance, checksum rejection, intent/commit pairing, supersession, and
-// fault injection at the append/fsync boundaries.
+// tolerance, checksum rejection, intent/commit pairing, supersession, fault
+// injection at the append/fsync boundaries, and a real fsync failure that is
+// never retried.
 
 #include "io/journal.h"
 
@@ -13,6 +14,7 @@
 #include <string>
 
 #include "io/csv.h"
+#include "obs/metrics.h"
 #include "testing/fault.h"
 
 namespace dwred {
@@ -197,6 +199,22 @@ TEST_F(JournalFileTest, ErrorModeFaultSurfacesAsStatus) {
   auto scan = ScanJournal(bytes.value());
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   EXPECT_TRUE(scan.value().has_pending_intent);
+}
+
+// A failed fsync is never retried: after one, the kernel may already have
+// marked the dirty pages clean, so a second fsync can return 0 for data that
+// never reached the disk. /dev/null takes the write and fails fsync with
+// EINVAL, so the intent must fail after exactly one fsync.
+TEST(JournalTest, FailedFsyncIsNotRetried) {
+  auto j = Journal::Open("/dev/null");
+  ASSERT_TRUE(j.ok()) << j.status().ToString();
+  Journal journal = std::move(j.value());
+  const obs::Histogram& fsyncs = obs::MetricsRegistry::Global().GetHistogram(
+      "dwred_io_fsync_seconds", obs::DefaultLatencyBuckets());
+  const uint64_t before = fsyncs.Count();
+  Status s = journal.AppendIntent(MakeIntent(1, JournalOpKind::kInsertFacts));
+  EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+  EXPECT_EQ(fsyncs.Count(), before + 1);
 }
 
 }  // namespace

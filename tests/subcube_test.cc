@@ -211,6 +211,35 @@ TEST_F(SubcubeTest, ChangeSpecificationRedistributesData) {
   EXPECT_EQ(Snapshot(all.value()), expected);
 }
 
+TEST_F(SubcubeTest, ChangeSpecificationThatFailsMovesNothing) {
+  ASSERT_TRUE(mgr_->InsertBottomFacts(*ex_.mo).ok());
+  int64_t t = DaysFromCivil({2000, 11, 5});
+  ASSERT_TRUE(mgr_->Synchronize(t).ok());
+  const std::string layout = mgr_->DescribeLayout();
+  auto before = mgr_->Query(nullptr, nullptr, t, true);
+  ASSERT_TRUE(before.ok());
+
+  // Two <=_V-incomparable actions claiming the same .com facts: the plan
+  // against the new layout fails NonCrossing before any row moves, and the
+  // old specification and cubes stay.
+  ReductionSpecification crossing;
+  crossing.Add(ParseAction(*ex_.mo,
+                           "a[Time.month, URL.url] s[URL.domain_grp = .com]",
+                           "by_time")
+                   .take());
+  crossing.Add(ParseAction(*ex_.mo,
+                           "a[Time.day, URL.domain] s[URL.domain_grp = .com]",
+                           "by_url")
+                   .take());
+  Status changed = mgr_->ChangeSpecification(crossing, t);
+  EXPECT_EQ(changed.code(), StatusCode::kInternal) << changed.ToString();
+  EXPECT_EQ(mgr_->spec().size(), 2u);
+  EXPECT_EQ(mgr_->DescribeLayout(), layout);
+  auto after = mgr_->Query(nullptr, nullptr, t, true);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(Snapshot(after.value()), Snapshot(before.value()));
+}
+
 TEST_F(SubcubeTest, ParallelQueryEqualsSerial) {
   // Section 7.3: subqueries evaluated "separately and in parallel". The
   // threaded path must return exactly the serial result.

@@ -17,7 +17,10 @@
 //      planned cell its Dimension::Rollup to the target cube's granularity;
 //      Reduce's output cells are
 //      exactly the interpreted CellOf of the surviving input facts, with the
-//      folded measures; and the bytes agree across thread counts;
+//      folded measures; the one Spec_gran assignment agrees with an
+//      independent AggLevel (eq. 13) oracle on every category, deletion and
+//      plan target; a specification change's bytes are pinned; and the bytes
+//      agree across thread counts;
 //   3. liveness — the VM path demonstrably ran (dwred_vm_compiles moved), and
 //      a predicate the compiler rejects reaches the interpreter fallback
 //      (dwred_vm_fallbacks moved) with unchanged results.
@@ -35,6 +38,7 @@
 #include "chrono/civil.h"
 #include "exec/thread_pool.h"
 #include "io/snapshot.h"
+#include "net/command.h"
 #include "obs/metrics.h"
 #include "query/compare.h"
 #include "reduce/semantics.h"
@@ -586,6 +590,274 @@ TEST(VmDifferential, SubcubeMatchesInterpreterOracleAcrossThreads) {
   EXPECT_GT(fallbacks.last_resort, 0)
       << "no ⊤-mapped row reached the last-resort cube 0 branch";
   EXPECT_GT(rolled, 0) << "no planned row migrated";
+}
+
+/// The clicks, every eighth one followed by a ⊤-mapped copy (alternately
+/// without its URL and without its day), so ⊤-mapped facts share column
+/// chunks and satisfied actions with ordinary ones.
+MultidimensionalObject InterleaveTopMapped(const MultidimensionalObject& mo) {
+  MultidimensionalObject out(mo.fact_type(), mo.dimensions(),
+                             mo.measure_types());
+  std::vector<ValueId> cell(mo.num_dimensions());
+  for (FactId f = 0; f < mo.num_facts(); ++f) {
+    std::span<const ValueId> c = mo.FactCoords(f);
+    cell.assign(c.begin(), c.end());
+    EXPECT_TRUE(out.AddFact(cell, mo.FactMeasures(f)).ok());
+    if (f % 8 != 0) continue;
+    const size_t d = f % 16 == 0 ? 1 : 0;  // dims are {Time, URL}
+    cell[d] = mo.dimension(static_cast<DimensionId>(d))->top_value();
+    EXPECT_TRUE(out.AddFact(cell, mo.FactMeasures(f)).ok());
+  }
+  return out;
+}
+
+/// Spec_gran by eq. (13), independent of the production assignment: per
+/// dimension, the LUB of the cell's own category and AggLevel_d of the cell
+/// (AggLevel runs its own loop over the actions). Returns whether some
+/// deletion action holds on the cell under the tree interpreter.
+bool AggLevelOracle(const MultidimensionalObject& ctx,
+                    const ReductionSpecification& spec,
+                    std::span<const ValueId> cell, int64_t now,
+                    std::vector<CategoryId>* want) {
+  bool deleted = false;
+  for (const Action& a : spec.actions()) {
+    deleted = deleted ||
+              (a.deletes && EvalPredOnCell(*a.predicate, ctx, cell, now));
+  }
+  want->resize(cell.size());
+  for (size_t d = 0; d < cell.size(); ++d) {
+    const auto dd = static_cast<DimensionId>(d);
+    const DimensionType& type = ctx.dimension(dd)->type();
+    auto level = AggLevel(ctx, spec, dd, cell, now);
+    EXPECT_TRUE(level.ok()) << level.status().message();
+    (*want)[d] = type.Lub(ctx.dimension(dd)->value_category(cell[d]),
+                          level.ok() ? level.value() : type.bottom());
+  }
+  return deleted;
+}
+
+// Layer 2c: the one Spec_gran assignment against the AggLevel oracle. Every
+// fact Reduce's assignment does not delete lands at Lub(Gran(f),
+// AggLevel(direct cell)) in every dimension — through CellAssigner, CellOf
+// and Reduce's output cells alike; a fact is deleted exactly when a deletion
+// action holds on its direct cell; and every synchronize target whose
+// Spec_gran names a cube is that cube. ⊤-mapped facts are interleaved with
+// the ordinary ones, and the specifications overlap comparable tiers.
+TEST(VmDifferential, SpecGranMatchesAggLevelOracle) {
+  ClickstreamConfig cfg;
+  cfg.seed = 61;
+  cfg.num_domains = 10;
+  cfg.urls_per_domain = 4;
+  cfg.num_clicks = 2500;
+  cfg.span_days = 3 * 365;
+  ClickstreamWorkload w = MakeClickstream(cfg);
+  const int64_t start = DaysFromCivil(cfg.start);
+  const MultidimensionalObject mo = InterleaveTopMapped(*w.mo);
+
+  dwred::testing::SpecGenOptions opts;
+  opts.num_actions = 3;
+  opts.sound_chain = true;
+  opts.deletion_prob = 1.0;
+  std::vector<ReductionSpecification> specs;
+  for (uint64_t seed : {23u, 40u}) {
+    specs.push_back(MustSpec(dwred::testing::GenerateSpec(mo, seed, opts)));
+  }
+  ReductionSpecification by_time;
+  for (const char* text :
+       {"p(a[Time.month, URL.domain] s[NOW - 24 months <= Time.month <= "
+        "NOW - 6 months](O))",
+        "p(a[Time.quarter, URL.domain_grp] s[URL.domain_grp = .com AND "
+        "Time.quarter <= NOW - 6 quarters](O))"}) {
+    auto a = ParseAction(mo, text);
+    ASSERT_TRUE(a.ok()) << a.status().message();
+    by_time.Add(std::move(a.value()));
+  }
+  specs.push_back(std::move(by_time));
+
+  int64_t deleted = 0;
+  int64_t lifted_top = 0;   // ⊤-mapped facts an action lifted elsewhere
+  int64_t overlapping = 0;  // facts two aggregation actions claim at once
+  int64_t planned = 0;      // plan targets checked against a named cube
+  std::vector<CategoryId> want;
+  PoolSizeGuard pool_guard;
+  exec::ThreadPool::ResetGlobal(4);
+  for (const ReductionSpecification& spec : specs) {
+    for (int64_t now : {start + 500, start + 1100, start + 1500}) {
+      // Reduce's assignment and the interpreted CellOf, fact by fact.
+      std::map<std::vector<ValueId>, int> want_cells;
+      size_t want_deleted = 0;
+      const CellAssigner assigner(mo, spec, now);
+      ASSERT_TRUE(assigner
+                      .Assign(0, mo.num_facts(),
+                              [&](const CellAssignment& a) {
+                                std::span<const ValueId> direct =
+                                    mo.FactCoords(a.fact);
+                                const bool del = AggLevelOracle(
+                                    mo, spec, direct, now, &want);
+                                ASSERT_EQ(a.deleted, del)
+                                    << "fact " << a.fact << " at now=" << now;
+                                if (del) {
+                                  ++want_deleted;
+                                  return;
+                                }
+                                int claims = 0;
+                                for (const Action& act : spec.actions()) {
+                                  claims += EvalPredOnCell(*act.predicate, mo,
+                                                           direct, now);
+                                }
+                                overlapping += claims > 1;
+                                auto cell = CellOf(mo, spec, a.fact, now);
+                                ASSERT_TRUE(cell.ok());
+                                std::vector<ValueId> rolled(direct.size());
+                                for (size_t d = 0; d < direct.size(); ++d) {
+                                  const Dimension& dim = *mo.dimension(
+                                      static_cast<DimensionId>(d));
+                                  rolled[d] = dim.Rollup(direct[d], want[d]);
+                                  ASSERT_EQ(dim.value_category(a.cell[d]),
+                                            want[d])
+                                      << "fact " << a.fact << " dim " << d
+                                      << " at now=" << now;
+                                  ASSERT_EQ(dim.value_category(cell.value()[d]),
+                                            want[d]);
+                                  lifted_top += direct[d] == dim.top_value() &&
+                                                a.changed;
+                                }
+                                ++want_cells[rolled];
+                              })
+                      .ok());
+      if (::testing::Test::HasFatalFailure()) return;
+      deleted += static_cast<int64_t>(want_deleted);
+
+      // Reduce's output is exactly the oracle's cells.
+      ReduceStats stats;
+      auto reduced = Reduce(mo, spec, now, {}, &stats);
+      ASSERT_TRUE(reduced.ok()) << reduced.status().message();
+      EXPECT_EQ(stats.facts_deleted, want_deleted) << "now=" << now;
+      std::map<std::vector<ValueId>, int> got_cells;
+      for (FactId f = 0; f < reduced.value().num_facts(); ++f) {
+        std::span<const ValueId> c = reduced.value().FactCoords(f);
+        ++got_cells[std::vector<ValueId>(c.begin(), c.end())];
+      }
+      ASSERT_EQ(got_cells.size(), want_cells.size()) << "now=" << now;
+      for (const auto& [cell, n] : want_cells) {
+        EXPECT_EQ(got_cells.count(cell), 1u) << "now=" << now;
+      }
+    }
+
+    // The synchronize plan, before every pass of a warehouse that ages.
+    auto mgr = SubcubeManager::Create(
+        "Click", mo.dimensions(), std::vector<MeasureType>(mo.measure_types()),
+        spec);
+    ASSERT_TRUE(mgr.ok()) << mgr.status().message();
+    SubcubeManager& m = mgr.value();
+    ASSERT_TRUE(m.InsertBottomFacts(mo).ok());
+    for (int64_t now : {start + 500, start + 1100, start + 1500}) {
+      auto plan = m.PlanSynchronize(now);
+      ASSERT_TRUE(plan.ok()) << plan.status().message();
+      std::vector<ValueId> cell;
+      for (size_t i = 0; i < m.num_subcubes(); ++i) {
+        const FactTable& t = m.subcube(i).table;
+        cell.resize(t.num_dims());
+        for (RowId r = 0; r < t.num_rows(); ++r) {
+          for (size_t d = 0; d < t.num_dims(); ++d) cell[d] = t.Coord(r, d);
+          const size_t to = plan.value().cubes[i].target[r];
+          const bool del = AggLevelOracle(m.context(), spec, cell, now, &want);
+          ASSERT_EQ(to == SubcubeManager::kDeletedCell, del)
+              << "cube " << i << " row " << r << " at now=" << now;
+          if (del) continue;
+          for (size_t k = 0; k < m.num_subcubes(); ++k) {
+            if (m.subcube(k).granularity != want) continue;
+            ++planned;
+            ASSERT_EQ(m.subcube(to).granularity, want)
+                << "cube " << i << " row " << r << " at now=" << now;
+          }
+        }
+      }
+      ASSERT_TRUE(m.ApplySynchronize(plan.value()).ok());
+    }
+  }
+  EXPECT_GT(deleted, 0) << "no fact exercised a deletion action";
+  EXPECT_GT(lifted_top, 0) << "no ⊤-mapped fact was lifted by an action";
+  EXPECT_GT(overlapping, 0) << "no fact satisfied two actions at once";
+  EXPECT_GT(planned, 0) << "no plan target named a cube of its Spec_gran";
+}
+
+/// WarehouseCrc of `spec`'s warehouse over `facts` after a synchronize at
+/// `sync_day` and a change to `next` at `change_day`.
+uint32_t SpecChangeCrc(const MultidimensionalObject& facts,
+                       const ReductionSpecification& spec,
+                       const ReductionSpecification& next, int64_t sync_day,
+                       int64_t change_day) {
+  auto mgr = SubcubeManager::Create(
+      facts.fact_type(), facts.dimensions(),
+      std::vector<MeasureType>(facts.measure_types()), spec);
+  EXPECT_TRUE(mgr.ok()) << mgr.status().message();
+  if (!mgr.ok()) return 0;
+  SubcubeManager& m = mgr.value();
+  EXPECT_TRUE(m.InsertBottomFacts(facts).ok());
+  EXPECT_TRUE(m.Synchronize(sync_day).ok());
+  Status changed = m.ChangeSpecification(next, change_day);
+  EXPECT_TRUE(changed.ok()) << changed.message();
+  return net::WarehouseCrc(m);
+}
+
+// Layer 2d: a specification change moves every old cube's rows into the new
+// layout; its bytes are pinned on two seeded fixtures at 1 and 8 threads —
+// clickstream with interleaved ⊤-mapped facts, changing to a chain whose
+// oldest tier deletes, and retail changing between two chains. The
+// constants were computed before the spec change shared the synchronize
+// planner.
+TEST(VmDifferential, SpecChangeBytesArePinned) {
+  dwred::testing::SpecGenOptions keep;
+  keep.num_actions = 3;
+  keep.sound_chain = true;
+  keep.deletion_prob = 0.0;
+  dwred::testing::SpecGenOptions drop = keep;
+  drop.deletion_prob = 1.0;
+
+  ClickstreamConfig ccfg;
+  ccfg.seed = 67;
+  ccfg.num_domains = 10;
+  ccfg.urls_per_domain = 4;
+  ccfg.num_clicks = 2500;
+  ccfg.span_days = 3 * 365;
+  ClickstreamWorkload clicks = MakeClickstream(ccfg);
+  const MultidimensionalObject click_facts = InterleaveTopMapped(*clicks.mo);
+  const int64_t click_start = DaysFromCivil(ccfg.start);
+  const ReductionSpecification click_old =
+      MustSpec(dwred::testing::GenerateSpec(click_facts, 23, keep));
+  const ReductionSpecification click_new =
+      MustSpec(dwred::testing::GenerateSpec(click_facts, 40, drop));
+  ASSERT_TRUE(std::any_of(click_new.actions().begin(),
+                          click_new.actions().end(),
+                          [](const Action& a) { return a.deletes; }));
+
+  RetailConfig rcfg;
+  rcfg.seed = 203;
+  rcfg.num_categories = 3;
+  rcfg.brands_per_category = 3;
+  rcfg.skus_per_brand = 3;
+  rcfg.num_sales = 2500;
+  rcfg.span_days = 3 * 365;
+  RetailWorkload retail = MakeRetail(rcfg);
+  const int64_t retail_start = DaysFromCivil(rcfg.start);
+  const ReductionSpecification retail_old =
+      MustSpec(dwred::testing::GenerateSpec(*retail.mo, 5, keep));
+  const ReductionSpecification retail_new =
+      MustSpec(dwred::testing::GenerateSpec(*retail.mo, 8, keep));
+
+  PoolSizeGuard pool_guard;
+  for (int threads : {1, 8}) {
+    exec::ThreadPool::ResetGlobal(threads);
+    EXPECT_EQ(SpecChangeCrc(click_facts, click_old, click_new,
+                            click_start + 900, click_start + 1500),
+              1950991492u)
+        << "clickstream, threads=" << threads;
+    EXPECT_EQ(SpecChangeCrc(*retail.mo, retail_old, retail_new,
+                            retail_start + 500, retail_start + 1000),
+              2810409720u)
+        << "retail, threads=" << threads;
+  }
 }
 
 /// An alternating, right-nested AND/OR chain `levels` connectives deep:
