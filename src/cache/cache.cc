@@ -57,6 +57,15 @@ void AppendGranularity(const std::vector<CategoryId>* target,
 
 }  // namespace
 
+std::string RenderResult(const MultidimensionalObject& mo) {
+  std::string out = std::to_string(mo.num_facts()) + " cells\n";
+  for (FactId f = 0; f < mo.num_facts(); ++f) {
+    out += mo.FormatFact(f);
+    out += '\n';
+  }
+  return out;
+}
+
 bool Enabled() {
   const char* env = std::getenv("DWRED_CACHE_DISABLED");
   return env == nullptr || *env == '\0';
@@ -177,7 +186,7 @@ uint64_t WarehouseCache::BumpEpoch() {
   return next;
 }
 
-std::shared_ptr<const MultidimensionalObject> WarehouseCache::LookupQuery(
+std::shared_ptr<const QueryAnswer> WarehouseCache::LookupQuery(
     const std::string& key) const {
   if (!Enabled()) return nullptr;
   auto hit = Lookup(query_, key);
@@ -189,14 +198,13 @@ std::shared_ptr<const MultidimensionalObject> WarehouseCache::LookupQuery(
   return hit;
 }
 
-void WarehouseCache::InsertQuery(
-    const std::string& key,
-    std::shared_ptr<const MultidimensionalObject> result) {
-  if (!Enabled() || !result) return;
+void WarehouseCache::InsertQuery(const std::string& key,
+                                 std::shared_ptr<const QueryAnswer> answer) {
+  if (!Enabled() || !answer) return;
   // Capacity-based: the budget must count what the allocator holds, not the
   // logical fact payload (see MultidimensionalObject::ApproxBytes).
-  size_t bytes = result->ApproxBytes();
-  Insert(query_, key, std::move(result), bytes);
+  size_t bytes = answer->result.ApproxBytes() + answer->body.capacity();
+  Insert(query_, key, std::move(answer), bytes);
 }
 
 std::shared_ptr<const scan::ScanSpec> WarehouseCache::LookupScanSpec(

@@ -6,10 +6,11 @@
 // fact appends, Synchronize, specification changes, recovery replay. Two LRU
 // caches hang off it:
 //
-//   - the **query-result cache**: finished `SubcubeManager::Query` results,
-//     keyed by a canonical fingerprint of the resolved query (predicate
-//     rendering, target granularity, the resolved NOW day, the
-//     synchronized-assumption flag) *plus the epoch*;
+//   - the **query-result cache**: finished `SubcubeManager::Answer`s — each
+//     an immutable QueryAnswer, the result and its rendered body — keyed by
+//     a canonical fingerprint of the resolved query (predicate rendering,
+//     target granularity, the resolved NOW day, the synchronized-assumption
+//     flag) *plus the epoch*;
 //   - the **ScanSpec cache**: compiled segment-pruning specs (whose
 //     compilation enumerates every dimension value through the liberal atom
 //     oracle — linear in dimension extent), keyed the same way.
@@ -46,6 +47,7 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mdm/mo.h"
@@ -54,6 +56,24 @@
 #include "vm/program.h"
 
 namespace dwred::cache {
+
+/// Canonical rendering of a query result: a cell-count line followed by one
+/// FormatFact line per fact — the body a served query answers with. Reads
+/// the dimensions' value names, so call it under the snapshot lock while
+/// writers may run.
+std::string RenderResult(const MultidimensionalObject& mo);
+
+/// One query-result cache entry: a finished result and its rendered body,
+/// both fixed at construction. Built once, on the miss, under the shared
+/// snapshot lock; shared read-only from then on, so a hit neither copies
+/// the result nor renders it again.
+struct QueryAnswer {
+  explicit QueryAnswer(MultidimensionalObject mo)
+      : result(std::move(mo)), body(RenderResult(result)) {}
+
+  const MultidimensionalObject result;
+  const std::string body;  ///< RenderResult(result)
+};
 
 /// True unless the DWRED_CACHE_DISABLED environment variable is set to a
 /// non-empty value. Re-read on every call.
@@ -145,10 +165,12 @@ class WarehouseCache {
   /// the operation's outcome — so programs compiled before an abort are
   /// retained (Stats.program_bytes reports their share). Retaining them only
   /// warms the retry; it can never change result bytes.
-  std::shared_ptr<const MultidimensionalObject> LookupQuery(
-      const std::string& key) const;
+  ///
+  /// An entry's bytes count both halves of the answer: the result's
+  /// allocations and the rendered body.
+  std::shared_ptr<const QueryAnswer> LookupQuery(const std::string& key) const;
   void InsertQuery(const std::string& key,
-                   std::shared_ptr<const MultidimensionalObject> result);
+                   std::shared_ptr<const QueryAnswer> answer);
 
   /// Compiled-ScanSpec cache, same discipline.
   std::shared_ptr<const scan::ScanSpec> LookupScanSpec(
@@ -215,7 +237,7 @@ class WarehouseCache {
   std::atomic<uint64_t> epoch_{0};
 
   mutable std::mutex cache_mu_;  ///< guards the LRU structures below
-  mutable Lru<MultidimensionalObject> query_;
+  mutable Lru<QueryAnswer> query_;
   mutable Lru<scan::ScanSpec> scanspec_;
   mutable Lru<vm::PredProgram> program_;
   mutable Lru<vm::RollupProgram> rollup_;

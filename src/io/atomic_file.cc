@@ -31,20 +31,53 @@ std::string DirOf(const std::string& path) {
   return path.substr(0, slash);
 }
 
+/// Slicing-by-8 tables for the reflected IEEE polynomial 0xEDB88320,
+/// generated from the polynomial when the program is built. `t[0]` is the
+/// classic byte-at-a-time table; `t[k][b]` is byte `b`'s contribution
+/// followed by `k` zero bytes, so one step folds eight input bytes with
+/// eight independent lookups.
+struct Crc32Tables {
+  uint32_t t[8][256];
+
+  constexpr Crc32Tables() : t{} {
+    for (uint32_t b = 0; b < 256; ++b) {
+      uint32_t c = b;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1) != 0 ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+      }
+      t[0][b] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t b = 0; b < 256; ++b) {
+        t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xff];
+      }
+    }
+  }
+};
+
+constexpr Crc32Tables kCrc32{};
+
+/// Little-endian load, whatever the host's byte order.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
+}
+
 }  // namespace
 
 uint32_t Crc32(std::string_view data, uint32_t seed) {
-  // Table-driven CRC-32 (IEEE), nibble-at-a-time to keep the table tiny.
-  static const uint32_t kTable[16] = {
-      0x00000000, 0x1db71064, 0x3b6e20c8, 0x26d930ac, 0x76dc4190, 0x6b6b51f4,
-      0x4db26158, 0x5005713c, 0xedb88320, 0xf00f9344, 0xd6d6a3e8, 0xcb61b38c,
-      0x9b64c2b0, 0x86d3d2d4, 0xa00ae278, 0xbdbdf21c};
+  const auto& t = kCrc32.t;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = ~seed;
-  for (char ch : data) {
-    uint8_t b = static_cast<uint8_t>(ch);
-    crc = kTable[(crc ^ b) & 0x0f] ^ (crc >> 4);
-    crc = kTable[(crc ^ (b >> 4)) & 0x0f] ^ (crc >> 4);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   return ~crc;
 }
 

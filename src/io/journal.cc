@@ -148,6 +148,7 @@ Result<JournalScan> ScanJournal(std::string_view bytes) {
       scan.committed.push_back(
           CommittedOp{std::move(scan.pending_intent), rec.commit});
       scan.has_pending_intent = false;
+      scan.committed_bytes = pos + 8 + len;
     }
     pos += 8 + len;
   }
@@ -156,7 +157,9 @@ Result<JournalScan> ScanJournal(std::string_view bytes) {
 }
 
 Journal::Journal(Journal&& other) noexcept
-    : path_(std::move(other.path_)), fd_(other.fd_) {
+    : path_(std::move(other.path_)),
+      fd_(other.fd_),
+      tail_in_doubt_(other.tail_in_doubt_) {
   other.fd_ = -1;
 }
 
@@ -165,6 +168,7 @@ Journal& Journal::operator=(Journal&& other) noexcept {
   Close();
   path_ = std::move(other.path_);
   fd_ = other.fd_;
+  tail_in_doubt_ = other.tail_in_doubt_;
   other.fd_ = -1;
   return *this;
 }
@@ -194,22 +198,28 @@ Status Journal::Append(const JournalRecord& rec, const char* write_site,
   if (fd_ < 0) return Status::Internal("journal is not open");
   DWRED_RETURN_IF_ERROR(testing::FaultPoint(write_site));
   std::string framed = EncodeJournalRecord(rec);
-  size_t off = 0;
-  while (off < framed.size()) {
-    ssize_t n = ::write(fd_, framed.data() + off, framed.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal("journal write failed: " +
-                              std::string(std::strerror(errno)));
+  Status written = [&]() -> Status {
+    size_t off = 0;
+    while (off < framed.size()) {
+      ssize_t n = ::write(fd_, framed.data() + off, framed.size() - off);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Status::Internal("journal write failed: " +
+                                std::string(std::strerror(errno)));
+      }
+      off += static_cast<size_t>(n);
     }
-    off += static_cast<size_t>(n);
+    DWRED_RETURN_IF_ERROR(testing::FaultPoint(fsync_site));
+    // One fsync, never retried: after a failed fsync the kernel may already
+    // have marked the dirty pages clean, so a retry can succeed for data
+    // that never reached the disk. The failure surfaces and the durable
+    // layer poisons the warehouse.
+    return FsyncFd(fd_, path_);
+  }();
+  if (!written.ok()) {
+    tail_in_doubt_ = true;
+    return written;
   }
-  DWRED_RETURN_IF_ERROR(testing::FaultPoint(fsync_site));
-  // One fsync, never retried: after a failed fsync the kernel may already
-  // have marked the dirty pages clean, so a retry can succeed for data that
-  // never reached the disk. The failure surfaces and the durable layer
-  // poisons the warehouse.
-  DWRED_RETURN_IF_ERROR(FsyncFd(fd_, path_));
   RecordsCounter().Increment();
   BytesCounter().Increment(framed.size());
   return Status::OK();
@@ -229,14 +239,21 @@ Status Journal::AppendCommit(const CommitRecord& rec) {
   return Append(r, "journal.commit.write", "journal.commit.fsync");
 }
 
-Status Journal::Reset() {
+Status Journal::Truncate(uint64_t size) {
   if (fd_ < 0) return Status::Internal("journal is not open");
-  DWRED_RETURN_IF_ERROR(testing::FaultPoint("journal.reset"));
-  if (::ftruncate(fd_, 0) != 0) {
+  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
     return Status::Internal("journal truncate failed: " +
                             std::string(std::strerror(errno)));
   }
   DWRED_RETURN_IF_ERROR(FsyncFd(fd_, path_));  // never retried (see Append)
+  tail_in_doubt_ = false;
+  return Status::OK();
+}
+
+Status Journal::Reset() {
+  if (fd_ < 0) return Status::Internal("journal is not open");
+  DWRED_RETURN_IF_ERROR(testing::FaultPoint("journal.reset"));
+  DWRED_RETURN_IF_ERROR(Truncate(0));
   static obs::Counter& c_resets = obs::MetricsRegistry::Global().GetCounter(
       "dwred_journal_resets",
       "journal truncations after a successful snapshot checkpoint");

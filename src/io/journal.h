@@ -95,6 +95,9 @@ struct JournalScan {
   size_t superseded_intents = 0;  ///< intents replaced by a later intent
   size_t records = 0;             ///< well-formed records decoded
   size_t torn_bytes = 0;          ///< bytes discarded at the torn tail
+  /// Offset just past the last commit record: everything after it is a
+  /// rolled-back intent or the torn tail.
+  size_t committed_bytes = 0;
 };
 
 /// Frames a record: [len][crc][payload].
@@ -123,12 +126,25 @@ class Journal {
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
-  /// Appends + fsyncs an intent record. On any error the journal must be
-  /// considered poisoned: the caller reopens via recovery.
+  /// Appends + fsyncs an intent record. A failure past the write fault
+  /// site leaves tail_in_doubt() set.
   Status AppendIntent(const IntentRecord& rec);
 
-  /// Appends + fsyncs a commit record.
+  /// Appends + fsyncs a commit record, like AppendIntent.
   Status AppendCommit(const CommitRecord& rec);
+
+  /// True once an append failed after it began writing — a partial write
+  /// or a failed fsync. The file may then end in a record that is partial
+  /// or never reaches the disk, and every later append would sit behind it,
+  /// out of a scan's reach after a crash. Truncate and Reset clear it. A
+  /// failure at the write fault site itself, before any byte is written,
+  /// does not set it.
+  bool tail_in_doubt() const { return tail_in_doubt_; }
+
+  /// Truncates the journal to its first `size` bytes and fsyncs. Recovery
+  /// cuts what follows the last commit, so the first append after it does
+  /// not land behind a torn tail.
+  Status Truncate(uint64_t size);
 
   /// Truncates the journal to empty (after a successful snapshot
   /// checkpoint) and fsyncs.
@@ -142,6 +158,7 @@ class Journal {
 
   std::string path_;
   int fd_ = -1;
+  bool tail_in_doubt_ = false;
 };
 
 }  // namespace dwred

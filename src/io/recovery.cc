@@ -469,6 +469,13 @@ Result<std::unique_ptr<DurableWarehouse>> DurableWarehouse::Open(
   rs.recovered_lsn = dw->applied_lsn_;
 
   DWRED_ASSIGN_OR_RETURN(dw->journal_, Journal::Open(dir + "/" + kJournalFile));
+  // Appends go to the end of the file. Cut what follows the last commit —
+  // the torn tail, a rolled-back intent — so the next intent does not land
+  // behind bytes the next scan would stop at, losing every op acknowledged
+  // after this open.
+  if (journal_bytes.size() > scan.committed_bytes) {
+    DWRED_RETURN_IF_ERROR(dw->journal_.Truncate(scan.committed_bytes));
+  }
 
   RecoveryRuns().Increment();
   RecoveryReplayed().Increment(rs.ops_replayed);
@@ -710,10 +717,16 @@ Status DurableWarehouse::RunJournaled(JournalOp op) {
   DWRED_ASSIGN_OR_RETURN(PlannedOp planned, PlanOp(op));
   IntentRecord& intent = planned.intent;
   intent.lsn = applied_lsn_ + 1;
-  // An intent-append failure leaves memory untouched: whatever (possibly
-  // torn) prefix reached the file is superseded by the next append or rolled
-  // back by recovery — no poison.
-  DWRED_RETURN_IF_ERROR(journal_.AppendIntent(intent));
+  // An intent-append failure leaves memory untouched. One at the write
+  // fault site wrote nothing, so the session goes on. Past it — a partial
+  // write, a failed fsync — the file may end in a record that never reaches
+  // the disk, and the next append would sit behind it, lost to recovery's
+  // scan after a crash: poison, as after a failed commit. Reopening cuts
+  // the tail.
+  if (Status appended = journal_.AppendIntent(intent); !appended.ok()) {
+    if (journal_.tail_in_doubt()) poisoned_ = true;
+    return appended;
+  }
   Status applied = testing::FaultPoint(ApplySite(op.kind));
   if (applied.ok()) applied = ApplyOp(planned);
   if (!applied.ok()) {

@@ -59,7 +59,9 @@ class DurableWarehouse {
 
   /// Opens `dir`, running recovery: loads the last good snapshot, replays
   /// committed journal operations newer than it, rolls back uncommitted
-  /// intents. Does not checkpoint — call Checkpoint() to fold the journal.
+  /// intents, then truncates the journal to the end of its last commit
+  /// record (and fsyncs) so the first append does not land behind a torn
+  /// tail. Does not checkpoint — call Checkpoint() to fold the journal.
   static Result<std::unique_ptr<DurableWarehouse>> Open(
       const std::string& dir, RecoveryStats* stats = nullptr);
 
@@ -70,8 +72,10 @@ class DurableWarehouse {
   const SubcubeManager* subcubes() const { return subcubes_.get(); }
   /// Count of committed operations (the next intent gets applied_lsn()+1).
   uint64_t applied_lsn() const { return applied_lsn_; }
-  /// True after an IO failure mid-protocol left memory ahead of the journal;
-  /// every further mutation fails until the directory is reopened.
+  /// True after an IO failure mid-protocol left memory ahead of the journal,
+  /// or left the journal's tail in doubt (an intent append that failed past
+  /// its first write: Journal::tail_in_doubt); every further mutation fails
+  /// until the directory is reopened.
   bool poisoned() const { return poisoned_; }
 
   /// Journaled bulk insert. Routes to the plain MO, or to the bottom subcube

@@ -51,20 +51,16 @@ Result<std::string> QueryBody(const Request& req, const SubcubeManager& mgr) {
   }
   const bool explain = (req.flags & kQueryExplain) != 0;
   obs::OpProfile profile;
-  // Rendering reads the dimensions' value names, which a concurrent insert's
-  // CSV decode extends: render under the query's shared lock.
-  std::string body;
-  DWRED_RETURN_IF_ERROR(
-      mgr.Query(pred.get(), req.b.empty() ? nullptr : &gran, req.now_day,
-                (req.flags & kQuerySynchronized) != 0,
-                (req.flags & kQueryParallel) != 0,
-                /*pinned_epoch=*/nullptr, explain ? &profile : nullptr,
-                [&](const MultidimensionalObject& result) {
-                  body = RenderResult(result);
-                })
-          .status());
-  if (explain) body += profile.Render();
-  return body;
+  // The answer's body was rendered under the query's shared lock; a cache
+  // hit hands back that same immutable answer.
+  DWRED_ASSIGN_OR_RETURN(
+      std::shared_ptr<const cache::QueryAnswer> answer,
+      mgr.Answer(pred.get(), req.b.empty() ? nullptr : &gran, req.now_day,
+                 (req.flags & kQuerySynchronized) != 0,
+                 (req.flags & kQueryParallel) != 0,
+                 /*pinned_epoch=*/nullptr, explain ? &profile : nullptr));
+  if (explain) return answer->body + profile.Render();
+  return answer->body;
 }
 
 Result<std::string> InsertBody(const Request& req, const SubcubeManager& mgr,
@@ -279,15 +275,6 @@ Response Execute(const Request& req, const CommandTarget& target) {
     resp.message = body.status().message();
   }
   return resp;
-}
-
-std::string RenderResult(const MultidimensionalObject& mo) {
-  std::ostringstream out;
-  out << mo.num_facts() << " cells\n";
-  for (FactId f = 0; f < mo.num_facts(); ++f) {
-    out << mo.FormatFact(f) << "\n";
-  }
-  return out.str();
 }
 
 uint32_t WarehouseCrc(const SubcubeManager& mgr, size_t* rows) {

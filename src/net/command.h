@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 
+#include "cache/cache.h"
 #include "common/status.h"
 #include "net/protocol.h"
 #include "subcube/manager.h"
@@ -71,9 +72,9 @@ Response Execute(const Request& req, const CommandTarget& target);
 /// row count of the same snapshot.
 uint32_t WarehouseCrc(const SubcubeManager& mgr, size_t* rows = nullptr);
 
-/// Canonical rendering of a query result: a cell-count line followed by one
-/// FormatFact line per fact. Shared by the wire path and embedded
+/// Canonical rendering of a query result (cache::RenderResult, the body a
+/// cached QueryAnswer holds). Shared by the wire path and embedded
 /// differential tests so both render identical bytes.
-std::string RenderResult(const MultidimensionalObject& mo);
+using cache::RenderResult;
 
 }  // namespace dwred::net

@@ -872,11 +872,10 @@ SubcubeManager::QuerySubresultsLocked(
   return subresults;
 }
 
-Result<MultidimensionalObject> SubcubeManager::Query(
+Result<std::shared_ptr<const cache::QueryAnswer>> SubcubeManager::Answer(
     const PredExpr* pred, const std::vector<CategoryId>* target,
     int64_t now_day, bool assume_synchronized, bool parallel,
-    uint64_t* pinned_epoch, obs::OpProfile* profile,
-    const std::function<void(const MultidimensionalObject&)>& visit) const {
+    uint64_t* pinned_epoch, obs::OpProfile* profile) const {
   auto& registry = obs::MetricsRegistry::Global();
   static obs::Histogram& query_latency = registry.GetHistogram(
       "dwred_subcube_query_seconds", obs::DefaultLatencyBuckets(),
@@ -943,12 +942,12 @@ Result<MultidimensionalObject> SubcubeManager::Query(
   prof->epoch = epoch;
   prof->cache =
       cache::Enabled() ? obs::CacheOutcome::kMiss : obs::CacheOutcome::kDisabled;
-  if (std::shared_ptr<const MultidimensionalObject> hit =
+  if (std::shared_ptr<const cache::QueryAnswer> hit =
           cache_->LookupQuery(key)) {
     span.AddField("cache_hit", int64_t{1});
     prof->cache = obs::CacheOutcome::kHit;
     prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
-    prof->result_facts = static_cast<int64_t>(hit->num_facts());
+    prof->result_facts = static_cast<int64_t>(hit->result.num_facts());
     prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
     static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.query");
     op_hist.Record(prof->total_us * 1e-6);
@@ -960,8 +959,7 @@ Result<MultidimensionalObject> SubcubeManager::Query(
       prof->fingerprint = obs::Fnv1a64(key);
     }
     obs::FlightRecorder::Global().Record(*prof);
-    if (visit) visit(*hit);
-    return *hit;
+    return hit;
   }
   // Miss path: the scan dwarfs the hash, so always fingerprint.
   prof->fingerprint = obs::Fnv1a64(key);
@@ -1005,19 +1003,30 @@ Result<MultidimensionalObject> SubcubeManager::Query(
   uint64_t version_check = 0;
   for (const auto& c : cubes_) version_check += c->table.content_version();
   DWRED_CHECK(version_check == version_sum);
-  cache_->InsertQuery(key,
-                      std::make_shared<MultidimensionalObject>(unioned));
-  // The union + final combining aggregation materializes the result.
+  // Rendered here, still under the shared lock.
+  auto answer = std::make_shared<const cache::QueryAnswer>(std::move(unioned));
+  cache_->InsertQuery(key, answer);
+  // The union, the final combining aggregation and the render materialize
+  // the answer.
   prof->AddStage("materialize", stage_timer.LapMicros());
   prof->budget_max_rows = runtime::CurrentOpContext().max_rows();
   prof->budget_rows_charged = runtime::CurrentOpContext().rows_charged();
-  prof->result_facts = static_cast<int64_t>(unioned.num_facts());
+  prof->result_facts = static_cast<int64_t>(answer->result.num_facts());
   prof->total_us = static_cast<int64_t>(span.ElapsedSeconds() * 1e6);
   static obs::Histogram& op_hist = obs::OpLatencyHistogram("subcube.query");
   op_hist.Record(prof->total_us * 1e-6);
   obs::FlightRecorder::Global().Record(*prof);
-  if (visit) visit(unioned);
-  return unioned;
+  return answer;
+}
+
+Result<MultidimensionalObject> SubcubeManager::Query(
+    const PredExpr* pred, const std::vector<CategoryId>* target,
+    int64_t now_day, bool assume_synchronized, bool parallel,
+    uint64_t* pinned_epoch, obs::OpProfile* profile) const {
+  DWRED_ASSIGN_OR_RETURN(std::shared_ptr<const cache::QueryAnswer> answer,
+                         Answer(pred, target, now_day, assume_synchronized,
+                                parallel, pinned_epoch, profile));
+  return answer->result;
 }
 
 Status SubcubeManager::ChangeSpecification(ReductionSpecification new_spec,

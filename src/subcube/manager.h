@@ -32,7 +32,6 @@
 // strictly-finer cube, filtered to the facts the cube is *currently*
 // responsible for, aggregated to the cube's granularity.
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -196,19 +195,28 @@ class SubcubeManager {
   /// scanned vs. pruned, rows skipped, per-stage wall times (see
   /// obs/profile.h). On the pruned path the profile's segment/row totals
   /// equal the dwred_scan_segments_* / dwred_scan_rows_skipped counter
-  /// deltas exactly. A set `visit` runs on the result, hit or miss, before
-  /// the shared lock is released: it may read the shared dimensions (value
-  /// names, for rendering) that a concurrent insert's CSV decode extends
-  /// under the exclusive lock.
+  /// deltas exactly.
+  ///
+  /// The answer is the cache's immutable entry: the result and its rendered
+  /// body (cache::RenderResult), rendered once, on the miss, before the
+  /// shared lock is released — rendering reads the shared dimensions' value
+  /// names, which a concurrent insert's CSV decode extends under the
+  /// exclusive lock. A hit hands back the same entry: no copy, no render.
+  Result<std::shared_ptr<const cache::QueryAnswer>> Answer(
+      const PredExpr* pred, const std::vector<CategoryId>* target,
+      int64_t now_day, bool assume_synchronized, bool parallel = false,
+      uint64_t* pinned_epoch = nullptr,
+      obs::OpProfile* profile = nullptr) const;
+
+  /// Answer's result, copied out for embedded callers that own or modify it.
   Result<MultidimensionalObject> Query(
       const PredExpr* pred, const std::vector<CategoryId>* target,
       int64_t now_day, bool assume_synchronized, bool parallel = false,
-      uint64_t* pinned_epoch = nullptr, obs::OpProfile* profile = nullptr,
-      const std::function<void(const MultidimensionalObject&)>& visit =
-          nullptr) const;
+      uint64_t* pinned_epoch = nullptr,
+      obs::OpProfile* profile = nullptr) const;
 
   /// Per-cube subresults of a query (exposed to reproduce Figure 8's S0..S4).
-  /// Takes the shared snapshot lock like Query (but only Query consults the
+  /// Takes the shared snapshot lock like Answer (but only Answer consults the
   /// result cache — subresult vectors are not cached).
   Result<std::vector<MultidimensionalObject>> QuerySubresults(
       const PredExpr* pred, const std::vector<CategoryId>* target,

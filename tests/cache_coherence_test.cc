@@ -9,8 +9,9 @@
 // pinned the same epoch must agree byte for byte, and two writer threads
 // serialized only by the manager's writer mutex must end where a serial run
 // ends. A synchronize plan that a writer outdated is refused untouched, one
-// that moves nothing keeps the epoch, and a served query renders its answer
-// under its own snapshot lock while a served insert interns new days.
+// that moves nothing keeps the epoch, a served query renders its answer
+// under its own snapshot lock while a served insert interns new days, and a
+// hit hands back the answer its miss rendered.
 
 #include <cstdlib>
 
@@ -202,6 +203,36 @@ TEST_F(CacheCoherenceTest, RepeatHitsAdvanceCountersOnlyWhenEnabled) {
   auto fourth = mgr->Query(nullptr, &gran, now, /*assume_synchronized=*/false);
   ASSERT_TRUE(fourth.ok());
   EXPECT_NE(Fingerprint(first.value()), Fingerprint(fourth.value()));
+}
+
+// A hit hands back the very entry the miss built — the result is not copied
+// and the body not rendered again — and the entry's bytes in the LRU budget
+// count the rendered body. With the cache off, every call builds its own
+// answer with the same bytes.
+TEST_F(CacheCoherenceTest, AHitSharesTheRenderedAnswer) {
+  IspExample ex;
+  std::unique_ptr<SubcubeManager> mgr = MakeWarehouse(&ex);
+  auto gran = ParseGranularityList(*ex.mo, "Time.month, URL.domain").take();
+  const int64_t now = DaysFromCivil({2000, 11, 5});
+
+  auto miss = mgr->Answer(nullptr, &gran, now, /*assume_synchronized=*/false);
+  ASSERT_TRUE(miss.ok());
+  const cache::QueryAnswer& answer = *miss.value();
+  EXPECT_EQ(answer.body, net::RenderResult(answer.result));
+  const cache::WarehouseCache::Stats stats = mgr->warehouse_cache().GetStats();
+  EXPECT_EQ(stats.query_entries, 1u);
+  EXPECT_GE(stats.bytes - stats.program_bytes,
+            answer.result.ApproxBytes() + answer.body.size());
+
+  auto hit = mgr->Answer(nullptr, &gran, now, /*assume_synchronized=*/false);
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(hit.value().get(), miss.value().get());
+
+  ::setenv("DWRED_CACHE_DISABLED", "1", 1);
+  auto off = mgr->Answer(nullptr, &gran, now, /*assume_synchronized=*/false);
+  ASSERT_TRUE(off.ok());
+  EXPECT_NE(off.value().get(), miss.value().get());
+  EXPECT_EQ(off.value()->body, answer.body);
 }
 
 // Readers race writers under the snapshot lock: every read pins an epoch,

@@ -1,6 +1,6 @@
 // CSV and warehouse import/export tests: RFC-4180 corner cases, dimension
 // rollup tables (the paper's Table 2 layout), mixed-granularity fact round
-// trips, and specification files.
+// trips, specification files, and CRC-32 known answers.
 
 #include "io/warehouse_io.h"
 
@@ -20,6 +20,63 @@
 
 namespace dwred {
 namespace {
+
+/// Bit-at-a-time CRC-32 over the reflected IEEE polynomial: the definition
+/// the table-driven Crc32 must agree with, seed chaining included.
+uint32_t BitwiseCrc32(std::string_view data, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (char ch : data) {
+    crc ^= static_cast<uint8_t>(ch);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(Crc32("", 0xCBF43926u), 0xCBF43926u);
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"), 0x414FA339u);
+  EXPECT_EQ(Crc32(std::string(32, '\0')), 0x190A55ADu);
+  EXPECT_EQ(Crc32(std::string(32, '\xff')), 0xFF6CAB0Bu);
+}
+
+TEST(Crc32Test, SeededChainingEqualsOneCall) {
+  std::string bytes;
+  for (int i = 0; i < 200; ++i) bytes.push_back(static_cast<char>(i * 37 + 11));
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+    std::string_view all(bytes);
+    EXPECT_EQ(Crc32(all.substr(cut), Crc32(all.substr(0, cut))), Crc32(all))
+        << "cut at " << cut;
+  }
+}
+
+TEST(Crc32Test, EveryLengthAndAlignmentMatchesTheBitwiseDefinition) {
+  // 64 + 8 bytes covering every byte value's low bits at every offset.
+  std::string buf;
+  for (int i = 0; i < 72; ++i) buf.push_back(static_cast<char>(i * 89 + 5));
+  buf[13] = '\xff';
+  buf[40] = '\0';
+  for (size_t off = 0; off < 8; ++off) {
+    for (size_t len = 0; len <= 64; ++len) {
+      std::string_view s = std::string_view(buf).substr(off, len);
+      EXPECT_EQ(Crc32(s), BitwiseCrc32(s)) << "offset " << off << " len " << len;
+      EXPECT_EQ(Crc32(s, 0x12345678u), BitwiseCrc32(s, 0x12345678u))
+          << "seeded, offset " << off << " len " << len;
+    }
+  }
+  // Eight copies of byte b index entry ~b of the four tables the first word
+  // folds and entry b of the other four, and one b alone indexes the byte
+  // table: over all b, every entry of every table is read.
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    const std::string eight(8, static_cast<char>(b));
+    EXPECT_EQ(Crc32(one), BitwiseCrc32(one)) << "byte " << b;
+    EXPECT_EQ(Crc32(eight), BitwiseCrc32(eight)) << "8 x byte " << b;
+  }
+}
 
 TEST(CsvTest, BasicRows) {
   auto rows = ParseCsv("a,b,c\n1,2,3\n");

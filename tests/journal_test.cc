@@ -189,6 +189,8 @@ TEST_F(JournalFileTest, ErrorModeFaultSurfacesAsStatus) {
   Status s = journal.AppendIntent(in);
   EXPECT_EQ(s.code(), StatusCode::kInternal);
   EXPECT_TRUE(testing::FaultInjector::Global().fired());
+  // The record's bytes were written before the fsync failed.
+  EXPECT_TRUE(journal.tail_in_doubt());
   testing::FaultInjector::Global().Disarm();
   // The journal object is still usable at the file level; a fresh append
   // after the failed one leaves a scannable file (the recovery layer is what

@@ -1,7 +1,8 @@
 // Durable-warehouse recovery tests: create/open round trips, journal replay
 // without a checkpoint, checkpoint idempotence, rollback of uncommitted
 // intents (including an already-applied op whose commit never made it), the
-// poison latch after mid-protocol IO failures, and the subcube organization.
+// poison latch after mid-protocol IO failures, the torn-tail cut on open, a
+// committed directory from an earlier build, and the subcube organization.
 
 #include "io/recovery.h"
 
@@ -9,6 +10,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -164,20 +166,116 @@ TEST_F(RecoveryTest, AppliedButUncommittedOpIsRolledBack) {
   ASSERT_TRUE(back.value()->ReducePass(Now2000()).ok());
 }
 
-TEST_F(RecoveryTest, FailedIntentAppendDoesNotPoison) {
+TEST_F(RecoveryTest, FailedIntentWriteDoesNotPoison) {
   auto dw = CreateExample(ReductionSpecification{});
   ASSERT_NE(dw, nullptr);
-  testing::FaultInjector::Global().Arm("journal.intent.fsync", 1,
+  testing::FaultInjector::Global().Arm("journal.intent.write", 1,
                                        testing::FaultMode::kError);
   EXPECT_FALSE(dw->ApplyActions({{"a7", paper::kA7}}).ok());
   testing::FaultInjector::Global().Disarm();
-  // Memory was never touched; the session stays usable and the dead intent
-  // is superseded by the retry.
+  // The write site fires before any byte reaches the file and memory was
+  // never touched: the session stays usable.
   EXPECT_FALSE(dw->poisoned());
   EXPECT_EQ(dw->spec().size(), 0u);
   ASSERT_TRUE(dw->ApplyActions({{"a7", paper::kA7}}).ok());
   EXPECT_EQ(dw->spec().size(), 1u);
   EXPECT_EQ(dw->applied_lsn(), 1u);
+}
+
+TEST_F(RecoveryTest, FailedIntentFsyncPoisons) {
+  auto dw = CreateExample(ReductionSpecification{});
+  ASSERT_NE(dw, nullptr);
+  ASSERT_TRUE(dw->ApplyActions({{"a7", paper::kA7}}).ok());
+  std::string committed = StateBytes(*dw);
+  testing::FaultInjector::Global().Arm("journal.intent.fsync", 1,
+                                       testing::FaultMode::kError);
+  EXPECT_FALSE(dw->ReducePass(Now2000()).ok());
+  testing::FaultInjector::Global().Disarm();
+  // The intent's bytes were written but their fsync failed: they may never
+  // reach the disk, and an append behind them could be lost with them.
+  EXPECT_TRUE(dw->poisoned());
+  EXPECT_FALSE(dw->ReducePass(Now2000()).ok());
+  dw.reset();
+
+  RecoveryStats stats;
+  auto back = DurableWarehouse::Open(dir_, &stats);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(stats.recovered_lsn, 1u);
+  EXPECT_EQ(StateBytes(*back.value()), committed);
+  // The retried pass is accepted and survives the next reopen.
+  ASSERT_TRUE(back.value()->ReducePass(Now2000()).ok());
+  EXPECT_EQ(back.value()->applied_lsn(), 2u);
+  std::string reduced = StateBytes(*back.value());
+  back.value().reset();
+  auto again = DurableWarehouse::Open(dir_, &stats);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(stats.recovered_lsn, 2u);
+  EXPECT_EQ(StateBytes(*again.value()), reduced);
+}
+
+// An op acknowledged after a recovery that found a torn tail must survive
+// the next recovery: Open cuts the tail before the first append, so the new
+// records do not sit behind bytes the scan stops at.
+TEST_F(RecoveryTest, TornTailIsCutBeforeTheNextAppend) {
+  auto dw = CreateExample(ReductionSpecification{});
+  ASSERT_NE(dw, nullptr);
+  ASSERT_TRUE(dw->ApplyActions({{"a7", paper::kA7}}).ok());
+  dw.reset();
+  {
+    std::ofstream journal(dir_ + "/journal.dwal",
+                          std::ios::binary | std::ios::app);
+    journal << "garbage!";
+  }
+
+  RecoveryStats stats;
+  auto first = DurableWarehouse::Open(dir_, &stats);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(stats.recovered_lsn, 1u);
+  EXPECT_EQ(stats.journal_torn_bytes, 8u);
+  ASSERT_TRUE(first.value()->ReducePass(Now2000()).ok());
+  EXPECT_EQ(first.value()->applied_lsn(), 2u);
+  std::string acknowledged = StateBytes(*first.value());
+  first.value().reset();
+
+  auto second = DurableWarehouse::Open(dir_, &stats);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(stats.recovered_lsn, 2u);
+  EXPECT_EQ(stats.ops_replayed, 2u);
+  EXPECT_EQ(stats.journal_torn_bytes, 0u);
+  EXPECT_EQ(StateBytes(*second.value()), acknowledged);
+}
+
+// A durable directory written by an earlier build (tests/data/
+// durable_subcube.dwred: a checkpoint, then an insert and two synchronize
+// passes in the journal) must open with every frame's CRC intact, replay
+// every journaled op against its intent digest, and checkpoint to the
+// snapshot that build's recovery wrote, byte for byte.
+TEST_F(RecoveryTest, CommittedImageRecoversByteIdentically) {
+  const std::string data = DWRED_TEST_DATA_DIR;
+  std::filesystem::create_directories(dir_);
+  for (const char* file : {"snapshot.dwsnap", "journal.dwal"}) {
+    std::filesystem::copy_file(data + "/durable_subcube/" + file,
+                               dir_ + "/" + file);
+  }
+  auto journal = ReadFile(dir_ + "/journal.dwal");
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  auto scan = ScanJournal(journal.value());
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan.value().committed.size(), 3u);
+  EXPECT_EQ(scan.value().torn_bytes, 0u);
+
+  RecoveryStats stats;
+  auto dw = DurableWarehouse::Open(dir_, &stats);
+  ASSERT_TRUE(dw.ok()) << dw.status().ToString();
+  EXPECT_EQ(stats.snapshot_lsn, 4u);
+  EXPECT_EQ(stats.ops_replayed, 3u);
+  EXPECT_EQ(stats.recovered_lsn, 7u);
+  ASSERT_TRUE(dw.value()->Checkpoint().ok());
+  auto snapshot = ReadFile(dir_ + "/snapshot.dwsnap");
+  auto pinned = ReadFile(data + "/durable_subcube.recovered.dwsnap");
+  ASSERT_TRUE(snapshot.ok() && pinned.ok());
+  EXPECT_TRUE(snapshot.value() == pinned.value())
+      << "recovered snapshot differs from the pinned image";
 }
 
 TEST_F(RecoveryTest, UserErrorsSurfaceBeforeJournaling) {
