@@ -25,25 +25,48 @@ using wire::PutU8;
 /// claiming more is version skew or a bug, not a torn write).
 constexpr uint32_t kMaxRecordBytes = 1u << 30;
 
-std::string EncodePayload(const JournalRecord& rec) {
-  std::string p;
-  PutU8(&p, static_cast<uint8_t>(rec.type));
-  if (rec.type == JournalRecord::Type::kIntent) {
-    const IntentRecord& in = rec.intent;
-    PutU64(&p, in.lsn);
-    PutU8(&p, static_cast<uint8_t>(in.op.kind));
-    PutI64(&p, in.op.now_day);
-    PutU64(&p, in.pre_rows);
-    PutU32(&p, static_cast<uint32_t>(in.pre_counts.size()));
-    for (uint64_t c : in.pre_counts) PutU64(&p, c);
-    PutU64(&p, in.affected_count);
-    PutU64(&p, in.affected_digest);
-    PutStr(&p, in.op.aux);
-  } else {
-    PutU64(&p, rec.commit.lsn);
-    PutU64(&p, rec.commit.post_rows);
-  }
-  return p;
+/// A record's frame: [u32 payload_len][u32 crc32(payload)], then the
+/// payload written by `put`.
+template <typename Put>
+std::string Frame(size_t payload_bytes, Put&& put) {
+  std::string framed;
+  framed.reserve(8 + payload_bytes);
+  framed.resize(8);
+  put(&framed);
+  const std::string_view payload = std::string_view(framed).substr(8);
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32(payload);
+  std::memcpy(framed.data(), &len, 4);
+  std::memcpy(framed.data() + 4, &crc, 4);
+  return framed;
+}
+
+void PutIntent(std::string* p, const IntentRecord& in) {
+  PutU8(p, static_cast<uint8_t>(JournalRecord::Type::kIntent));
+  PutU64(p, in.lsn);
+  PutU8(p, static_cast<uint8_t>(in.op.kind));
+  PutI64(p, in.op.now_day);
+  PutU64(p, in.pre_rows);
+  PutU32(p, static_cast<uint32_t>(in.pre_counts.size()));
+  for (uint64_t c : in.pre_counts) PutU64(p, c);
+  PutU64(p, in.affected_count);
+  PutU64(p, in.affected_digest);
+  PutStr(p, in.op.aux);
+}
+
+void PutCommit(std::string* p, const CommitRecord& commit) {
+  PutU8(p, static_cast<uint8_t>(JournalRecord::Type::kCommit));
+  PutU64(p, commit.lsn);
+  PutU64(p, commit.post_rows);
+}
+
+std::string FrameIntent(const IntentRecord& in) {
+  return Frame(64 + 8 * in.pre_counts.size() + in.op.aux.size(),
+               [&](std::string* p) { PutIntent(p, in); });
+}
+
+std::string FrameCommit(const CommitRecord& commit) {
+  return Frame(17, [&](std::string* p) { PutCommit(p, commit); });
 }
 
 Result<JournalRecord> DecodePayload(std::string_view payload) {
@@ -57,8 +80,8 @@ Result<JournalRecord> DecodePayload(std::string_view payload) {
     DWRED_RETURN_IF_ERROR(c.U64(&in.lsn));
     uint8_t kind;
     DWRED_RETURN_IF_ERROR(c.U8(&kind));
-    if (kind < static_cast<uint8_t>(JournalOpKind::kInsertFacts) ||
-        kind > static_cast<uint8_t>(JournalOpKind::kSetSpec)) {
+    if (kind < static_cast<uint8_t>(JournalOpKind::kInsertRows) ||
+        kind > static_cast<uint8_t>(JournalOpKind::kInsertFacts)) {
       return Status::ParseError("journal: unknown operation kind " +
                                 std::to_string(kind));
     }
@@ -108,12 +131,8 @@ obs::Counter& BytesCounter() {
 }  // namespace
 
 std::string EncodeJournalRecord(const JournalRecord& rec) {
-  std::string payload = EncodePayload(rec);
-  std::string framed;
-  PutU32(&framed, static_cast<uint32_t>(payload.size()));
-  PutU32(&framed, Crc32(payload));
-  framed += payload;
-  return framed;
+  return rec.type == JournalRecord::Type::kIntent ? FrameIntent(rec.intent)
+                                                  : FrameCommit(rec.commit);
 }
 
 Result<JournalScan> ScanJournal(std::string_view bytes) {
@@ -193,11 +212,10 @@ Result<Journal> Journal::Open(const std::string& path) {
   return j;
 }
 
-Status Journal::Append(const JournalRecord& rec, const char* write_site,
+Status Journal::Append(const std::string& framed, const char* write_site,
                        const char* fsync_site) {
   if (fd_ < 0) return Status::Internal("journal is not open");
   DWRED_RETURN_IF_ERROR(testing::FaultPoint(write_site));
-  std::string framed = EncodeJournalRecord(rec);
   Status written = [&]() -> Status {
     size_t off = 0;
     while (off < framed.size()) {
@@ -226,17 +244,13 @@ Status Journal::Append(const JournalRecord& rec, const char* write_site,
 }
 
 Status Journal::AppendIntent(const IntentRecord& rec) {
-  JournalRecord r;
-  r.type = JournalRecord::Type::kIntent;
-  r.intent = rec;
-  return Append(r, "journal.intent.write", "journal.intent.fsync");
+  return Append(FrameIntent(rec), "journal.intent.write",
+                "journal.intent.fsync");
 }
 
 Status Journal::AppendCommit(const CommitRecord& rec) {
-  JournalRecord r;
-  r.type = JournalRecord::Type::kCommit;
-  r.commit = rec;
-  return Append(r, "journal.commit.write", "journal.commit.fsync");
+  return Append(FrameCommit(rec), "journal.commit.write",
+                "journal.commit.fsync");
 }
 
 Status Journal::Truncate(uint64_t size) {

@@ -38,14 +38,17 @@ namespace dwred {
 
 /// Journaled operation kinds. The redo payload (`aux`) makes each operation
 /// deterministic to re-apply against the pre-state:
-/// insert carries the batch rows, set-spec the action texts; reduce /
-/// enable-subcubes / synchronize are pure functions of (state, now_day).
+/// insert carries the batch (io/insert_redo.h), set-spec the action texts;
+/// reduce / enable-subcubes / synchronize are pure functions of
+/// (state, now_day). Writers emit kInsertFacts for inserts; kInsertRows is
+/// read only, so journals written before it was replaced still recover.
 enum class JournalOpKind : uint8_t {
-  kInsertFacts = 1,     ///< bulk fact insert (aux: encoded rows)
+  kInsertRows = 1,      ///< bulk fact insert, one tagged value per coordinate
   kReduce = 2,          ///< Definition 2 reduction pass at now_day
   kEnableSubcubes = 3,  ///< switch to the Section 7 subcube organization
   kSynchronize = 4,     ///< Section 7.2 synchronization pass at now_day
   kSetSpec = 5,         ///< replace the specification (aux: action texts)
+  kInsertFacts = 6,     ///< bulk fact insert, per-dimension dictionaries
 };
 
 /// One journaled operation: what to re-apply during recovery.
@@ -153,7 +156,7 @@ class Journal {
   void Close();
 
  private:
-  Status Append(const JournalRecord& rec, const char* write_site,
+  Status Append(const std::string& framed, const char* write_site,
                 const char* fsync_site);
 
   std::string path_;

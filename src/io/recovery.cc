@@ -5,9 +5,11 @@
 
 #include "io/atomic_file.h"
 #include "io/csv.h"
+#include "io/insert_redo.h"
 #include "io/snapshot.h"
 #include "io/wire.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "reduce/dynamics.h"
 #include "runtime/cancel.h"
 #include "spec/parser.h"
@@ -61,131 +63,6 @@ void HashValue(Fnv* h, const Dimension& dim, ValueId v) {
   h->U8(0);
 }
 
-// --- Insert redo payload ----------------------------------------------------
-//
-// aux for kInsertFacts:
-//   u32 nrows, u32 ndims, u32 nmeas
-//   per row: per dimension one symbolic coordinate —
-//     tag 0: plain value  (u32 category, str name)
-//     tag 1: time granule (u8 unit, i64 index)
-//     tag 2: the dimension's ⊤
-//   then nmeas × i64 measure values.
-//
-// Coordinates are stored symbolically (names and granules, not ValueIds):
-// EnsureTimeValue materializes time values on demand, so replay from an
-// older snapshot re-interns them in the same order but not necessarily with
-// the ids a particular live process saw.
-
-Result<std::string> EncodeInsertAux(const MultidimensionalObject& batch) {
-  std::string aux;
-  wire::PutU32(&aux, static_cast<uint32_t>(batch.num_facts()));
-  wire::PutU32(&aux, static_cast<uint32_t>(batch.num_dimensions()));
-  wire::PutU32(&aux, static_cast<uint32_t>(batch.num_measures()));
-  for (FactId f = 0; f < batch.num_facts(); ++f) {
-    for (DimensionId d = 0; d < batch.num_dimensions(); ++d) {
-      const Dimension& dim = *batch.dimension(d);
-      ValueId v = batch.Coord(f, d);
-      if (v >= dim.num_values()) {
-        return Status::InvalidArgument(
-            "insert batch: coordinate " + std::to_string(v) +
-            " names no value of dimension " + dim.name());
-      }
-      if (v == dim.top_value()) {
-        wire::PutU8(&aux, 2);
-      } else if (dim.is_time()) {
-        TimeGranule g = dim.granule(v);
-        wire::PutU8(&aux, 1);
-        wire::PutU8(&aux, static_cast<uint8_t>(g.unit));
-        wire::PutI64(&aux, g.index);
-      } else {
-        wire::PutU8(&aux, 0);
-        wire::PutU32(&aux, dim.value_category(v));
-        wire::PutStr(&aux, dim.value_name(v));
-      }
-    }
-    for (MeasureId m = 0; m < batch.num_measures(); ++m) {
-      wire::PutI64(&aux, batch.Measure(f, m));
-    }
-  }
-  return aux;
-}
-
-struct DecodedBatch {
-  size_t nrows = 0;
-  size_t ndims = 0;
-  size_t nmeas = 0;
-  std::vector<ValueId> coords;  ///< nrows × ndims
-  std::vector<int64_t> meas;    ///< nrows × nmeas
-};
-
-/// Resolves a redo payload against the warehouse dimensions (interning time
-/// granules as needed — the same materialization the live insert performed).
-Result<DecodedBatch> DecodeInsertAux(
-    std::string_view aux,
-    const std::vector<std::shared_ptr<Dimension>>& dims) {
-  wire::Cursor c(aux, "insert redo");
-  DecodedBatch b;
-  uint32_t nrows, ndims, nmeas;
-  DWRED_RETURN_IF_ERROR(c.U32(&nrows));
-  DWRED_RETURN_IF_ERROR(c.U32(&ndims));
-  DWRED_RETURN_IF_ERROR(c.U32(&nmeas));
-  if (ndims != dims.size()) {
-    return Status::ParseError("insert redo: dimension count " +
-                              std::to_string(ndims) + " != warehouse's " +
-                              std::to_string(dims.size()));
-  }
-  b.nrows = nrows;
-  b.ndims = ndims;
-  b.nmeas = nmeas;
-  // Each row needs at least ndims tag bytes + nmeas × 8 measure bytes.
-  if (nrows > 0 && c.remaining() / (ndims + 8u * nmeas) < nrows) {
-    return Status::ParseError("insert redo: row count exceeds payload");
-  }
-  b.coords.reserve(size_t{nrows} * ndims);
-  b.meas.reserve(size_t{nrows} * nmeas);
-  for (uint32_t r = 0; r < nrows; ++r) {
-    for (uint32_t d = 0; d < ndims; ++d) {
-      Dimension& dim = *dims[d];
-      uint8_t tag;
-      DWRED_RETURN_IF_ERROR(c.U8(&tag));
-      if (tag == 2) {
-        b.coords.push_back(dim.top_value());
-      } else if (tag == 1) {
-        uint8_t unit;
-        int64_t index;
-        DWRED_RETURN_IF_ERROR(c.U8(&unit));
-        DWRED_RETURN_IF_ERROR(c.I64(&index));
-        if (!dim.is_time() || unit >= static_cast<uint8_t>(TimeUnit::kTop)) {
-          return Status::ParseError("insert redo: bad time coordinate");
-        }
-        DWRED_ASSIGN_OR_RETURN(
-            ValueId v,
-            dim.EnsureTimeValue({static_cast<TimeUnit>(unit), index}));
-        b.coords.push_back(v);
-      } else if (tag == 0) {
-        uint32_t cat;
-        std::string name;
-        DWRED_RETURN_IF_ERROR(c.U32(&cat));
-        DWRED_RETURN_IF_ERROR(c.Str(&name));
-        DWRED_ASSIGN_OR_RETURN(ValueId v, dim.ValueByName(cat, name));
-        b.coords.push_back(v);
-      } else {
-        return Status::ParseError("insert redo: unknown coordinate tag " +
-                                  std::to_string(tag));
-      }
-    }
-    for (uint32_t m = 0; m < nmeas; ++m) {
-      int64_t v;
-      DWRED_RETURN_IF_ERROR(c.I64(&v));
-      b.meas.push_back(v);
-    }
-  }
-  if (!c.AtEnd()) {
-    return Status::ParseError("insert redo: trailing bytes");
-  }
-  return b;
-}
-
 // --- Durable snapshot codec -------------------------------------------------
 
 std::string SaveDurableState(uint64_t applied_lsn,
@@ -223,12 +100,18 @@ std::string SaveDurableState(uint64_t applied_lsn,
   return s;
 }
 
+/// One saved subcube's rows, row-major.
+struct SavedCube {
+  size_t rows = 0;
+  std::vector<ValueId> cells;     ///< rows × ndims
+  std::vector<int64_t> measures;  ///< rows × nmeas
+};
+
 struct DurableState {
   uint64_t applied_lsn = 0;
   LoadedWarehouse wh;
   bool has_subcubes = false;
-  std::vector<std::vector<ValueId>> cube_coords;  ///< per cube, rows × ndims
-  std::vector<std::vector<int64_t>> cube_meas;    ///< per cube, rows × nmeas
+  std::vector<SavedCube> cubes;
 };
 
 Result<DurableState> LoadDurableState(std::string_view bytes) {
@@ -277,24 +160,19 @@ Result<DurableState> LoadDurableState(std::string_view bytes) {
                                   std::to_string(ci) +
                                   " row count exceeds image");
       }
-      std::vector<ValueId> coords;
-      std::vector<int64_t> meas;
-      coords.reserve(nrows * nd);
-      meas.reserve(nrows * nm);
+      SavedCube cube;
+      cube.rows = nrows;
+      cube.cells.resize(nrows * nd);
+      cube.measures.resize(nrows * nm);
       for (uint64_t r = 0; r < nrows; ++r) {
         for (size_t d = 0; d < nd; ++d) {
-          uint32_t v;
-          DWRED_RETURN_IF_ERROR(c.U32(&v));
-          coords.push_back(v);
+          DWRED_RETURN_IF_ERROR(c.U32(&cube.cells[r * nd + d]));
         }
         for (size_t m = 0; m < nm; ++m) {
-          int64_t v;
-          DWRED_RETURN_IF_ERROR(c.I64(&v));
-          meas.push_back(v);
+          DWRED_RETURN_IF_ERROR(c.I64(&cube.measures[r * nm + m]));
         }
       }
-      st.cube_coords.push_back(std::move(coords));
-      st.cube_meas.push_back(std::move(meas));
+      st.cubes.push_back(std::move(cube));
     }
   }
   if (!c.AtEnd()) {
@@ -336,6 +214,7 @@ obs::Counter& CheckpointsCounter() {
 /// after the intent is durable and before any in-memory mutation).
 const char* ApplySite(JournalOpKind kind) {
   switch (kind) {
+    case JournalOpKind::kInsertRows:
     case JournalOpKind::kInsertFacts:
       return "insert.apply";
     case JournalOpKind::kReduce:
@@ -385,9 +264,14 @@ Result<std::unique_ptr<DurableWarehouse>> DurableWarehouse::Create(
 
 Result<std::unique_ptr<DurableWarehouse>> DurableWarehouse::Open(
     const std::string& dir, RecoveryStats* stats) {
-  DWRED_ASSIGN_OR_RETURN(std::string snap_bytes,
-                         ReadFile(dir + "/" + kSnapshotFile));
-  DWRED_ASSIGN_OR_RETURN(DurableState st, LoadDurableState(snap_bytes));
+  obs::TraceSpan span("io.recover");
+  DurableState st;
+  {
+    obs::TraceSpan load("io.recover.load");
+    DWRED_ASSIGN_OR_RETURN(std::string snap_bytes,
+                           ReadFile(dir + "/" + kSnapshotFile));
+    DWRED_ASSIGN_OR_RETURN(st, LoadDurableState(snap_bytes));
+  }
 
   auto dw = std::unique_ptr<DurableWarehouse>(new DurableWarehouse());
   dw->dir_ = dir;
@@ -396,34 +280,30 @@ Result<std::unique_ptr<DurableWarehouse>> DurableWarehouse::Open(
   dw->applied_lsn_ = st.applied_lsn;
   if (st.has_subcubes) {
     // Rebuild the cube layout from the specification (deterministic) and
-    // refill the tables row by row.
+    // refill each table with its saved rows in one batch.
+    obs::TraceSpan restore("io.recover.restore");
     DWRED_ASSIGN_OR_RETURN(
         SubcubeManager m,
         SubcubeManager::Create(dw->mo_->fact_type(), dw->mo_->dimensions(),
                                dw->mo_->measure_types(), dw->spec_));
-    if (st.cube_coords.size() != m.num_subcubes()) {
+    if (st.cubes.size() != m.num_subcubes()) {
       return Status::ParseError(
-          "durable snapshot: stores " + std::to_string(st.cube_coords.size()) +
+          "durable snapshot: stores " + std::to_string(st.cubes.size()) +
           " cubes but the specification builds " +
           std::to_string(m.num_subcubes()));
     }
     dw->subcubes_ = std::make_unique<SubcubeManager>(std::move(m));
-    const size_t nd = dw->mo_->num_dimensions();
-    const size_t nm = dw->mo_->num_measures();
-    for (size_t ci = 0; ci < st.cube_coords.size(); ++ci) {
-      const size_t nrows = nd ? st.cube_coords[ci].size() / nd
-                              : (nm ? st.cube_meas[ci].size() / nm : 0);
-      for (size_t r = 0; r < nrows; ++r) {
-        DWRED_RETURN_IF_ERROR(dw->subcubes_->RestoreRow(
-            ci, std::span(st.cube_coords[ci]).subspan(r * nd, nd),
-            std::span(st.cube_meas[ci]).subspan(r * nm, nm)));
-      }
+    for (size_t ci = 0; ci < st.cubes.size(); ++ci) {
+      const SavedCube& cube = st.cubes[ci];
+      DWRED_RETURN_IF_ERROR(dw->subcubes_->RestoreCube(
+          ci, cube.rows, cube.cells, cube.measures));
     }
   }
 
   RecoveryStats rs;
   rs.snapshot_lsn = st.applied_lsn;
 
+  obs::TraceSpan replay("io.recover.replay");
   std::string journal_bytes;
   {
     Result<std::string> r = ReadFile(dir + "/" + kJournalFile);
@@ -436,7 +316,7 @@ Result<std::unique_ptr<DurableWarehouse>> DurableWarehouse::Open(
   DWRED_ASSIGN_OR_RETURN(JournalScan scan, ScanJournal(journal_bytes));
   rs.journal_torn_bytes = scan.torn_bytes;
 
-  for (const CommittedOp& cop : scan.committed) {
+  for (CommittedOp& cop : scan.committed) {
     if (cop.intent.lsn <= dw->applied_lsn_) continue;  // folded into snapshot
     if (cop.intent.lsn != dw->applied_lsn_ + 1) {
       return Status::ParseError(
@@ -446,7 +326,8 @@ Result<std::unique_ptr<DurableWarehouse>> DurableWarehouse::Open(
     // Re-derive the plan against the recovered pre-state and verify it
     // matches the journaled intent — catches snapshot/journal lineage mixups
     // and non-deterministic replay before any mutation happens.
-    DWRED_ASSIGN_OR_RETURN(PlannedOp replan, dw->PlanOp(cop.intent.op));
+    DWRED_ASSIGN_OR_RETURN(PlannedOp replan,
+                           dw->PlanOp(std::move(cop.intent.op)));
     if (replan.intent.pre_rows != cop.intent.pre_rows ||
         replan.intent.pre_counts != cop.intent.pre_counts ||
         replan.intent.affected_count != cop.intent.affected_count ||
@@ -508,20 +389,23 @@ std::vector<uint64_t> DurableWarehouse::TableRows() const {
 // --- Plan -------------------------------------------------------------------
 
 Result<DurableWarehouse::PlannedOp> DurableWarehouse::PlanOp(
-    const JournalOp& op) const {
+    JournalOp op_in) const {
   PlannedOp planned;
   IntentRecord& in = planned.intent;
-  in.op = op;
+  in.op = std::move(op_in);
+  const JournalOp& op = in.op;
   in.pre_rows = TotalRows();
   in.pre_counts = TableRows();
   Fnv h;
   switch (op.kind) {
+    case JournalOpKind::kInsertRows:
     case JournalOpKind::kInsertFacts: {
-      // The redo payload *is* the plan: the digest commits to the exact rows.
-      wire::Cursor c(op.aux, "insert redo");
-      uint32_t nrows;
-      DWRED_RETURN_IF_ERROR(c.U32(&nrows));
-      in.affected_count = nrows;
+      // The redo payload *is* the plan: the digest commits to its exact
+      // bytes, and the batch it resolves to is what ApplyOp appends.
+      DWRED_ASSIGN_OR_RETURN(
+          planned.insert, DecodeInsertRedo(op.kind, op.aux, mo_->dimensions(),
+                                           mo_->num_measures()));
+      in.affected_count = planned.insert->rows;
       h.Bytes(op.aux);
       break;
     }
@@ -599,32 +483,13 @@ Result<DurableWarehouse::PlannedOp> DurableWarehouse::PlanOp(
 Status DurableWarehouse::ApplyOp(const PlannedOp& planned) {
   const JournalOp& op = planned.intent.op;
   switch (op.kind) {
+    case JournalOpKind::kInsertRows:
     case JournalOpKind::kInsertFacts: {
-      DWRED_ASSIGN_OR_RETURN(DecodedBatch b,
-                             DecodeInsertAux(op.aux, mo_->dimensions()));
-      if (b.nmeas != mo_->num_measures()) {
-        return Status::ParseError("insert redo: measure count mismatch");
-      }
+      const ResolvedBatch& b = *planned.insert;
       if (subcubes_) {
-        MultidimensionalObject batch(mo_->fact_type(), mo_->dimensions(),
-                                     mo_->measure_types());
-        for (size_t r = 0; r < b.nrows; ++r) {
-          DWRED_RETURN_IF_ERROR(
-              batch
-                  .AddBottomFact(
-                      std::span(b.coords).subspan(r * b.ndims, b.ndims),
-                      std::span(b.meas).subspan(r * b.nmeas, b.nmeas))
-                  .status());
-        }
-        return subcubes_->InsertBottomFacts(batch);
+        return subcubes_->InsertBottomFacts(b.rows, b.cells, b.measures);
       }
-      for (size_t r = 0; r < b.nrows; ++r) {
-        DWRED_RETURN_IF_ERROR(
-            mo_->AddBottomFact(
-                   std::span(b.coords).subspan(r * b.ndims, b.ndims),
-                   std::span(b.meas).subspan(r * b.nmeas, b.nmeas))
-                .status());
-      }
+      mo_->AppendFactsUnchecked(b.rows, b.cells, b.measures);
       return Status::OK();
     }
     case JournalOpKind::kReduce: {
@@ -705,6 +570,8 @@ Status DurableWarehouse::ApplyOp(const PlannedOp& planned) {
 // --- The two-phase protocol -------------------------------------------------
 
 Status DurableWarehouse::RunJournaled(JournalOp op) {
+  obs::TraceSpan span("io.durable");
+  span.AddField("kind", static_cast<int64_t>(op.kind));
   if (poisoned_) {
     return Status::Internal(
         "warehouse is poisoned by an earlier IO failure; reopen " + dir_ +
@@ -714,7 +581,12 @@ Status DurableWarehouse::RunJournaled(JournalOp op) {
   // planned — no journal traffic for an operation that will not run.
   DWRED_RETURN_IF_ERROR(
       runtime::CountAbort(runtime::CurrentOpContext().Check()));
-  DWRED_ASSIGN_OR_RETURN(PlannedOp planned, PlanOp(op));
+  Result<PlannedOp> plan = [&] {
+    obs::TraceSpan layer("io.durable.plan");
+    return PlanOp(std::move(op));
+  }();
+  if (!plan.ok()) return plan.status();
+  PlannedOp& planned = plan.value();
   IntentRecord& intent = planned.intent;
   intent.lsn = applied_lsn_ + 1;
   // An intent-append failure leaves memory untouched. One at the write
@@ -723,12 +595,19 @@ Status DurableWarehouse::RunJournaled(JournalOp op) {
   // the disk, and the next append would sit behind it, lost to recovery's
   // scan after a crash: poison, as after a failed commit. Reopening cuts
   // the tail.
-  if (Status appended = journal_.AppendIntent(intent); !appended.ok()) {
+  Status appended = [&] {
+    obs::TraceSpan layer("io.durable.intent");
+    return journal_.AppendIntent(intent);
+  }();
+  if (!appended.ok()) {
     if (journal_.tail_in_doubt()) poisoned_ = true;
     return appended;
   }
-  Status applied = testing::FaultPoint(ApplySite(op.kind));
-  if (applied.ok()) applied = ApplyOp(planned);
+  Status applied = [&] {
+    obs::TraceSpan layer("io.durable.apply");
+    Status st = testing::FaultPoint(ApplySite(intent.op.kind));
+    return st.ok() ? ApplyOp(planned) : st;
+  }();
   if (!applied.ok()) {
     if (runtime::IsAbort(applied.code())) {
       // Cooperative aborts are clean by contract (runtime/cancel.h): every
@@ -743,8 +622,10 @@ Status DurableWarehouse::RunJournaled(JournalOp op) {
     return applied;
   }
   applied_lsn_ = intent.lsn;
-  CommitRecord commit{intent.lsn, TotalRows()};
-  Status committed = journal_.AppendCommit(commit);
+  Status committed = [&] {
+    obs::TraceSpan layer("io.durable.commit");
+    return journal_.AppendCommit(CommitRecord{intent.lsn, TotalRows()});
+  }();
   if (!committed.ok()) {
     poisoned_ = true;  // memory is ahead of the journal
     return committed;
@@ -764,24 +645,10 @@ Status DurableWarehouse::InsertFacts(const MultidimensionalObject& batch) {
         std::to_string(mo_->num_dimensions()) + " / " +
         std::to_string(mo_->num_measures()));
   }
-  DWRED_ASSIGN_OR_RETURN(std::string aux, EncodeInsertAux(batch));
-  // Dry-run the resolution + bottom-granularity checks against the warehouse
-  // so user errors surface cleanly *before* the intent is journaled. The
-  // time values this materializes are exactly the ones the apply (and any
-  // replay) interns, in the same order.
-  {
-    DWRED_ASSIGN_OR_RETURN(DecodedBatch b,
-                           DecodeInsertAux(aux, mo_->dimensions()));
-    MultidimensionalObject trial(mo_->fact_type(), mo_->dimensions(),
-                                 mo_->measure_types());
-    for (size_t r = 0; r < b.nrows; ++r) {
-      DWRED_RETURN_IF_ERROR(
-          trial
-              .AddBottomFact(std::span(b.coords).subspan(r * b.ndims, b.ndims),
-                             std::span(b.meas).subspan(r * b.nmeas, b.nmeas))
-              .status());
-    }
-  }
+  // Resolution and the bottom-granularity check run when RunJournaled
+  // plans, before the intent is appended: a refused batch leaves the journal
+  // and the dimensions as they were.
+  DWRED_ASSIGN_OR_RETURN(std::string aux, EncodeInsertRedo(batch));
   return RunJournaled({JournalOpKind::kInsertFacts, 0, std::move(aux)});
 }
 

@@ -27,6 +27,7 @@
 #include <optional>
 #include <string>
 
+#include "io/insert_redo.h"
 #include "io/journal.h"
 #include "mdm/mo.h"
 #include "reduce/semantics.h"
@@ -79,7 +80,9 @@ class DurableWarehouse {
   bool poisoned() const { return poisoned_; }
 
   /// Journaled bulk insert. Routes to the plain MO, or to the bottom subcube
-  /// once EnableSubcubes ran (bottom-granularity coordinates required then).
+  /// once EnableSubcubes ran. Every coordinate must be at its dimension's
+  /// bottom category or ⊤; a batch that is not is refused when the insert
+  /// plans, before its intent is journaled.
   Status InsertFacts(const MultidimensionalObject& batch);
 
   /// Journaled specification change via the insert operator (Section 5):
@@ -112,16 +115,21 @@ class DurableWarehouse {
   DurableWarehouse() = default;
 
   /// An operation planned against the current state: the intent the journal
-  /// records and, for a synchronize, the plan that intent digests.
+  /// records and, for a synchronize, the plan that intent digests; for an
+  /// insert, the batch its payload resolves to.
   struct PlannedOp {
     IntentRecord intent;
     std::optional<SyncPlan> sync;
+    std::optional<ResolvedBatch> insert;
   };
 
   /// Computes the intent for `op` against the current state (pre-image row
   /// counts, affected cell count + digest). A synchronize plans here, once:
-  /// the intent digests the returned plan and ApplyOp executes it.
-  Result<PlannedOp> PlanOp(const JournalOp& op) const;
+  /// the intent digests the returned plan and ApplyOp executes it. An
+  /// insert decodes its payload here, once, refusing a malformed payload
+  /// (ParseError) or a coordinate above bottom (InvalidArgument) — the
+  /// time values a valid batch interns are the only state planning touches.
+  Result<PlannedOp> PlanOp(JournalOp op) const;
 
   /// Applies a planned operation to the in-memory state. Shared by the live
   /// path and recovery replay so both perform the identical mutation

@@ -54,6 +54,16 @@ class Cursor {
     pos_ += n;
     return Status::OK();
   }
+  /// The next `n` bytes, uncopied (valid while the payload is).
+  Status View(size_t n, std::string_view* out) {
+    if (n > remaining()) {
+      return Status::ParseError(std::string(what_) + ": payload truncated");
+    }
+    *out = data_.substr(pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
+  size_t pos() const { return pos_; }
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 

@@ -83,6 +83,20 @@ class MultidimensionalObject {
     return id;
   }
 
+  /// AppendFactUnchecked for a whole batch: `coords` holds `rows` cells and
+  /// `measures` their measure rows, both row-major.
+  void AppendFactsUnchecked(size_t rows, std::span<const ValueId> coords,
+                            std::span<const int64_t> measures) {
+    num_facts_ += rows;
+    coords_.insert(coords_.end(), coords.begin(), coords.end());
+    meas_.insert(meas_.end(), measures.begin(), measures.end());
+  }
+
+  /// Every fact's cell, row-major (num_facts × num_dimensions).
+  std::span<const ValueId> coord_rows() const { return coords_; }
+  /// Every fact's measure row, row-major (num_facts × num_measures).
+  std::span<const int64_t> measure_rows() const { return meas_; }
+
   /// The fact's value in dimension d (the single pair (f, v) in R_d).
   ValueId Coord(FactId f, DimensionId d) const {
     return coords_[f * dims_.size() + d];

@@ -50,6 +50,11 @@ const char* EncodingName(ColEncoding e);
 template <typename T>
 class EncodedColumn {
  public:
+  /// Encode counts distinct values with a direct-indexed table of max - min
+  /// + 1 slots when that is fewer than this many slots per row, and with a
+  /// hash map otherwise. Both give the same dictionary in the same order.
+  static constexpr uint64_t kDirectSlotsPerRow = 4;
+
   EncodedColumn() = default;
 
   /// Encodes `data`, consuming it (the plain choice moves the vector in
@@ -62,27 +67,26 @@ class EncodedColumn {
       return c;
     }
 
-    // One pass: first-occurrence dictionary + run count + value range.
-    std::unordered_map<T, uint32_t> dict;
-    dict.reserve(64);
+    // One pass for the run count and the value range, then the distinct
+    // values in first-occurrence order (CountDistinct).
     size_t runs = 1;
     T minv = data[0], maxv = data[0];
     for (size_t i = 0; i < data.size(); ++i) {
-      dict.emplace(data[i], static_cast<uint32_t>(dict.size()));
       if (i > 0 && data[i] != data[i - 1]) ++runs;
       minv = std::min(minv, data[i]);
       maxv = std::max(maxv, data[i]);
     }
-    const size_t distinct = dict.size();
+    // Unsigned wraparound gives the true max-min difference for signed T too.
+    const uint64_t range =
+        static_cast<uint64_t>(maxv) - static_cast<uint64_t>(minv);
+    const DistinctValues dict = CountDistinct(data, minv, range);
+    const size_t distinct = dict.firsts.size();
     const size_t plain_bytes = c.n_ * sizeof(T);
     const uint8_t width = distinct <= (1u << 8)    ? 1
                           : distinct <= (1u << 16) ? 2
                                                    : 4;
     const size_t dict_bytes = distinct * sizeof(T) + c.n_ * width;
     const size_t rle_bytes = runs * (sizeof(T) + sizeof(uint32_t));
-    // Unsigned wraparound gives the true max-min difference for signed T too.
-    const uint64_t range =
-        static_cast<uint64_t>(maxv) - static_cast<uint64_t>(minv);
     const uint8_t fwidth = range < (1u << 8)      ? 1
                            : range < (1u << 16)   ? 2
                            : range < (1ull << 32) ? 4
@@ -110,12 +114,14 @@ class EncodedColumn {
       c.enc_ = ColEncoding::kDict;
       c.code_width_ = width;
       // First-occurrence code order keeps the dictionary deterministic.
-      c.values_.resize(distinct);
-      for (const auto& [v, code] : dict) c.values_[code] = v;
+      c.values_.assign(dict.firsts.begin(), dict.firsts.end());
       c.codes_.resize(c.n_ * width);
       uint8_t* out = c.codes_.data();
+      const uint64_t base = static_cast<uint64_t>(minv);
       for (size_t i = 0; i < data.size(); ++i, out += width) {
-        const uint32_t code = dict.find(data[i])->second;
+        const uint32_t code =
+            dict.direct ? dict.slot[static_cast<uint64_t>(data[i]) - base]
+                        : dict.hashed.find(data[i])->second;
         std::memcpy(out, &code, width);  // little-endian prefix
       }
       data.clear();
@@ -260,6 +266,16 @@ class EncodedColumn {
     }
   }
 
+  /// The plain data, the dictionary (first-occurrence order), the run values,
+  /// or the FOR base, by encoding.
+  std::span<const T> values() const { return values_; }
+
+  /// Row i's dictionary code or FOR delta (kDict and kFor only).
+  uint32_t code(size_t i) const {
+    DWRED_CHECK(i < n_ && !codes_.empty());
+    return CodeAt(i);
+  }
+
   /// Zero-copy view when the column kept the plain layout; null otherwise.
   const T* PlainData() const {
     return enc_ == ColEncoding::kPlain ? values_.data() : nullptr;
@@ -280,6 +296,43 @@ class EncodedColumn {
   }
 
  private:
+  /// A column's distinct values in first-occurrence order, and the map from
+  /// a value to its index there: `slot[v - min]` when `direct`, else
+  /// `hashed`.
+  struct DistinctValues {
+    std::vector<T> firsts;
+    bool direct = false;
+    std::vector<uint32_t> slot;
+    std::unordered_map<T, uint32_t> hashed;
+  };
+
+  static DistinctValues CountDistinct(const std::vector<T>& data, T minv,
+                                      uint64_t range) {
+    DistinctValues d;
+    const uint64_t n = data.size();
+    d.direct = range < kDirectSlotsPerRow * n;
+    if (d.direct) {
+      constexpr uint32_t kUnseen = UINT32_MAX;
+      d.slot.assign(range + 1, kUnseen);
+      const uint64_t base = static_cast<uint64_t>(minv);
+      for (const T v : data) {
+        uint32_t& s = d.slot[static_cast<uint64_t>(v) - base];
+        if (s == kUnseen) {
+          s = static_cast<uint32_t>(d.firsts.size());
+          d.firsts.push_back(v);
+        }
+      }
+      return d;
+    }
+    d.hashed.reserve(64);
+    for (const T v : data) {
+      if (d.hashed.emplace(v, static_cast<uint32_t>(d.firsts.size())).second) {
+        d.firsts.push_back(v);
+      }
+    }
+    return d;
+  }
+
   uint32_t CodeAt(size_t i) const {
     uint32_t code = 0;
     std::memcpy(&code, codes_.data() + i * code_width_, code_width_);

@@ -253,51 +253,74 @@ void FactTable::SealSegment(Segment& s) {
 
 RowId FactTable::Append(std::span<const ValueId> coords,
                         std::span<const int64_t> measures) {
-  DWRED_CHECK(coords.size() == ndims_);
-  DWRED_CHECK(measures.size() == nmeas_);
-  if (segs_.empty() || segs_.back().sealed) {
-    Segment seg;
-    seg.dims.resize(ndims_);
-    seg.meas.resize(nmeas_);
-    seg.dmin.resize(ndims_);
-    seg.dmax.resize(ndims_);
-    seg.mmin.resize(nmeas_);
-    seg.mmax.resize(nmeas_);
-    starts_.push_back(num_rows_);
-    segs_.push_back(std::move(seg));
-  }
-  Segment& tail = segs_.back();
-  for (size_t d = 0; d < ndims_; ++d) {
-    tail.dims[d].push_back(coords[d]);
-    if (tail.live == 0) {
-      tail.dmin[d] = tail.dmax[d] = coords[d];
-    } else {
-      tail.dmin[d] = std::min(tail.dmin[d], coords[d]);
-      tail.dmax[d] = std::max(tail.dmax[d], coords[d]);
-    }
-  }
-  for (size_t m = 0; m < nmeas_; ++m) {
-    tail.meas[m].push_back(measures[m]);
-    if (tail.live == 0) {
-      tail.mmin[m] = tail.mmax[m] = measures[m];
-    } else {
-      tail.mmin[m] = std::min(tail.mmin[m], measures[m]);
-      tail.mmax[m] = std::max(tail.mmax[m], measures[m]);
-    }
-  }
-  ++tail.phys;
-  if (!tail.dead.empty()) {
-    tail.dead.push_back(0);
-    tail.live_phys.push_back(static_cast<uint32_t>(tail.phys - 1));
-  }
-  ++tail.live;
-  ++phys_rows_;
-  data_bytes_ += RowWidth();
-  if (tail.phys >= segment_rows_) SealSegment(tail);
-  RowId r = num_rows_++;
-  ++content_version_;
-  UpdateFootprint(1);
+  const RowId r = num_rows_;
+  AppendRows(1, coords, measures);
   return r;
+}
+
+void FactTable::AppendRows(size_t rows, std::span<const ValueId> coords,
+                           std::span<const int64_t> measures) {
+  DWRED_CHECK(coords.size() == rows * ndims_);
+  DWRED_CHECK(measures.size() == rows * nmeas_);
+  if (rows == 0) return;
+  // Transpose into the tail, one segment's room at a time. A fresh segment's
+  // zone maps start at its first row.
+  auto zone = [](auto v, bool first, auto* mn, auto* mx) {
+    if (first) {
+      *mn = *mx = v;
+    } else {
+      *mn = std::min(*mn, v);
+      *mx = std::max(*mx, v);
+    }
+  };
+  for (size_t done = 0; done < rows;) {
+    if (segs_.empty() || segs_.back().sealed) {
+      Segment seg;
+      seg.dims.resize(ndims_);
+      seg.meas.resize(nmeas_);
+      seg.dmin.resize(ndims_);
+      seg.dmax.resize(ndims_);
+      seg.mmin.resize(nmeas_);
+      seg.mmax.resize(nmeas_);
+      starts_.push_back(num_rows_);
+      segs_.push_back(std::move(seg));
+    }
+    Segment& tail = segs_.back();
+    const size_t take = std::min(rows - done, segment_rows_ - tail.phys);
+    for (size_t d = 0; d < ndims_; ++d) {
+      std::vector<ValueId>& col = tail.dims[d];
+      col.resize(tail.phys + take);
+      const ValueId* in = coords.data() + done * ndims_ + d;
+      for (size_t i = 0; i < take; ++i, in += ndims_) {
+        zone(*in, tail.live + i == 0, &tail.dmin[d], &tail.dmax[d]);
+        col[tail.phys + i] = *in;
+      }
+    }
+    for (size_t m = 0; m < nmeas_; ++m) {
+      std::vector<int64_t>& col = tail.meas[m];
+      col.resize(tail.phys + take);
+      const int64_t* in = measures.data() + done * nmeas_ + m;
+      for (size_t i = 0; i < take; ++i, in += nmeas_) {
+        zone(*in, tail.live + i == 0, &tail.mmin[m], &tail.mmax[m]);
+        col[tail.phys + i] = *in;
+      }
+    }
+    if (!tail.dead.empty()) {
+      for (size_t i = 0; i < take; ++i) {
+        tail.dead.push_back(0);
+        tail.live_phys.push_back(static_cast<uint32_t>(tail.phys + i));
+      }
+    }
+    tail.phys += take;
+    tail.live += take;
+    phys_rows_ += take;
+    num_rows_ += take;
+    data_bytes_ += take * RowWidth();
+    if (tail.phys >= segment_rows_) SealSegment(tail);
+    done += take;
+  }
+  ++content_version_;
+  UpdateFootprint(static_cast<int64_t>(rows));
 }
 
 void FactTable::ReadCoords(RowId r, ValueId* out) const {
@@ -598,17 +621,7 @@ Status FactTable::AppendFrom(const MultidimensionalObject& mo) {
         std::to_string(mo.num_measures()) + " does not match table " +
         std::to_string(ndims_) + "x" + std::to_string(nmeas_));
   }
-  std::vector<ValueId> coords(ndims_);
-  std::vector<int64_t> meas(nmeas_);
-  for (FactId f = 0; f < mo.num_facts(); ++f) {
-    for (size_t d = 0; d < coords.size(); ++d) {
-      coords[d] = mo.Coord(f, static_cast<DimensionId>(d));
-    }
-    for (size_t m = 0; m < meas.size(); ++m) {
-      meas[m] = mo.Measure(f, static_cast<MeasureId>(m));
-    }
-    Append(coords, meas);
-  }
+  AppendRows(mo.num_facts(), mo.coord_rows(), mo.measure_rows());
   return Status::OK();
 }
 

@@ -117,6 +117,12 @@ class FactTable {
   RowId Append(std::span<const ValueId> coords,
                std::span<const int64_t> measures);
 
+  /// Appends `rows` rows given row-major (`coords`: rows × num_dims,
+  /// `measures`: rows × num_measures): the segments, zone maps and seal
+  /// points of `rows` Append calls, with the footprint gauges updated once.
+  void AppendRows(size_t rows, std::span<const ValueId> coords,
+                  std::span<const int64_t> measures);
+
   ValueId Coord(RowId r, size_t d) const {
     auto [s, p] = Locate(r);
     const Segment& seg = segs_[s];

@@ -146,23 +146,64 @@ Status SubcubeManager::BuildLayout() {
   return Status::OK();
 }
 
+namespace {
+
+/// Checks a row-major batch's shape against the warehouse and that every
+/// coordinate names an interned value; `what` prefixes the messages.
+Status CheckRows(const char* what, size_t rows,
+                 std::span<const ValueId> cells,
+                 std::span<const int64_t> measures,
+                 const std::vector<std::shared_ptr<Dimension>>& dims,
+                 size_t nmeas) {
+  if (cells.size() != rows * dims.size() ||
+      measures.size() != rows * nmeas) {
+    return Status::InvalidArgument(
+        std::string(what) + ": row arity mismatch (" +
+        std::to_string(cells.size()) + " coords, " +
+        std::to_string(measures.size()) + " measures for " +
+        std::to_string(rows) + " rows)");
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t d = 0; d < dims.size(); ++d) {
+      const ValueId v = cells[r * dims.size() + d];
+      if (v >= dims[d]->num_values()) {
+        return Status::InvalidArgument(
+            std::string(what) + ": coordinate " + std::to_string(v) +
+            " names no value of dimension " + dims[d]->name());
+      }
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status SubcubeManager::InsertBottomFacts(const MultidimensionalObject& batch) {
-  std::lock_guard<std::mutex> writer(cache_->writer_mutex());
-  std::unique_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
-  EpochBumpGuard bump(*cache_);
   if (batch.num_dimensions() != dims_.size() ||
       batch.num_measures() != measures_.size()) {
     return Status::InvalidArgument("batch schema mismatch");
   }
-  for (FactId f = 0; f < batch.num_facts(); ++f) {
+  return InsertBottomFacts(batch.num_facts(), batch.coord_rows(),
+                           batch.measure_rows());
+}
+
+Status SubcubeManager::InsertBottomFacts(size_t rows,
+                                         std::span<const ValueId> cells,
+                                         std::span<const int64_t> measures) {
+  std::lock_guard<std::mutex> writer(cache_->writer_mutex());
+  std::unique_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
+  EpochBumpGuard bump(*cache_);
+  DWRED_RETURN_IF_ERROR(
+      CheckRows("insert", rows, cells, measures, dims_, measures_.size()));
+  for (size_t r = 0; r < rows; ++r) {
     for (size_t d = 0; d < dims_.size(); ++d) {
-      auto dd = static_cast<DimensionId>(d);
-      ValueId v = batch.Coord(f, dd);
-      CategoryId c = dims_[d]->value_category(v);
-      if (c != dims_[d]->type().bottom() && v != dims_[d]->top_value()) {
+      const Dimension& dim = *dims_[d];
+      const ValueId v = cells[r * dims_.size() + d];
+      if (dim.value_category(v) != dim.type().bottom() &&
+          v != dim.top_value()) {
         return Status::InvalidArgument(
             "new data must enter at the bottom granularity (dimension " +
-            dims_[d]->name() + ")");
+            dim.name() + ")");
       }
     }
   }
@@ -170,8 +211,8 @@ Status SubcubeManager::InsertBottomFacts(const MultidimensionalObject& batch) {
   // cancelling here leaves the warehouse byte-identical to never inserting.
   DWRED_RETURN_IF_ERROR(
       runtime::CountAbort(runtime::PollCancel("cancel.insert.batch")));
-  if (batch.num_facts() > 0) bump.Arm();
-  DWRED_RETURN_IF_ERROR(cubes_[0]->table.AppendFrom(batch));
+  if (rows > 0) bump.Arm();
+  cubes_[0]->table.AppendRows(rows, cells, measures);
   return Status::OK();
 }
 
@@ -234,29 +275,21 @@ Result<std::vector<ValueId>> SubcubeManager::RollCell(
   return out;
 }
 
-Status SubcubeManager::RestoreRow(size_t cube, std::span<const ValueId> cell,
-                                  std::span<const int64_t> measures) {
+Status SubcubeManager::RestoreCube(size_t cube, size_t rows,
+                                   std::span<const ValueId> cells,
+                                   std::span<const int64_t> measures) {
   if (cube >= cubes_.size()) {
-    return Status::InvalidArgument("RestoreRow: subcube index " +
+    return Status::InvalidArgument("RestoreCube: subcube index " +
                                    std::to_string(cube) + " out of range (" +
                                    std::to_string(cubes_.size()) + " cubes)");
   }
-  if (cell.size() != dims_.size() || measures.size() != measures_.size()) {
-    return Status::InvalidArgument(
-        "RestoreRow: row arity mismatch (" + std::to_string(cell.size()) +
-        " coords, " + std::to_string(measures.size()) + " measures)");
-  }
-  for (size_t d = 0; d < cell.size(); ++d) {
-    if (cell[d] >= dims_[d]->num_values()) {
-      return Status::InvalidArgument(
-          "RestoreRow: coordinate " + std::to_string(cell[d]) +
-          " names no value of dimension " + dims_[d]->name());
-    }
-  }
+  DWRED_RETURN_IF_ERROR(
+      CheckRows("RestoreCube", rows, cells, measures, dims_, measures_.size()));
   std::lock_guard<std::mutex> writer(cache_->writer_mutex());
   std::unique_lock<std::shared_mutex> snapshot(cache_->snapshot_mutex());
-  cubes_[cube]->table.Append(cell, measures);
-  cache_->BumpEpoch();
+  EpochBumpGuard bump(*cache_);
+  if (rows > 0) bump.Arm();
+  cubes_[cube]->table.AppendRows(rows, cells, measures);
   return Status::OK();
 }
 

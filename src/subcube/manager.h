@@ -118,8 +118,18 @@ class SubcubeManager {
   /// Current warehouse epoch (see cache::WarehouseCache).
   uint64_t epoch() const { return cache_->epoch(); }
 
-  /// Bulk-loads new detail facts (bottom granularity) into the bottom cube.
-  /// A writer: holds the writer mutex, then the exclusive snapshot lock.
+  /// Bulk-loads `rows` new detail facts into the bottom cube, given
+  /// row-major (`cells`: rows × dimensions, `measures`: rows × measures).
+  /// Every coordinate must be an interned value at its dimension's bottom
+  /// category, or ⊤ (InvalidArgument otherwise, nothing appended). Polls
+  /// "cancel.insert.batch" once the batch is validated, then appends it in
+  /// one FactTable::AppendRows. A writer: holds the writer mutex, then the
+  /// exclusive snapshot lock.
+  Status InsertBottomFacts(size_t rows, std::span<const ValueId> cells,
+                           std::span<const int64_t> measures);
+
+  /// The same for an MO's facts (its dimensions and measures must match the
+  /// warehouse's in number).
   Status InsertBottomFacts(const MultidimensionalObject& batch);
 
   /// Sentinel returned by ResponsibleCube when a deletion action (the
@@ -160,14 +170,16 @@ class SubcubeManager {
   Result<size_t> Synchronize(int64_t now_day,
                              obs::OpProfile* profile = nullptr);
 
-  /// Deserialization hook (io/recovery.h): appends one saved row to subcube
-  /// `cube` verbatim, without responsibility routing or granularity rollup —
-  /// the row is trusted to be at the cube's granularity because it was
-  /// serialized from it. Validates the cube index, the row arity, and that
-  /// every coordinate names an interned value of the shared dimensions
-  /// (InvalidArgument otherwise). A writer, like InsertBottomFacts.
-  Status RestoreRow(size_t cube, std::span<const ValueId> cell,
-                    std::span<const int64_t> measures);
+  /// Deserialization hook (io/recovery.h): appends a saved cube's `rows`
+  /// rows (row-major, as InsertBottomFacts) to subcube `cube` verbatim,
+  /// without responsibility routing or granularity rollup — the rows are
+  /// trusted to be at the cube's granularity because they were serialized
+  /// from it. Validates the cube index, the row arity, and that every
+  /// coordinate names an interned value of the shared dimensions
+  /// (InvalidArgument otherwise, nothing appended). A writer, like
+  /// InsertBottomFacts: one lock and at most one epoch bump per cube.
+  Status RestoreCube(size_t cube, size_t rows, std::span<const ValueId> cells,
+                     std::span<const int64_t> measures);
 
   /// Evaluates σ[pred] then (optionally) α[target] over the subcubes,
   /// combining per-cube subresults with a final availability aggregation.

@@ -1,12 +1,17 @@
 // Columnar-layout tests (docs/STORAGE.md "Columnar layout"): encoding
-// round-trips and the cost model, batch iteration across chunk and segment
+// round-trips and the cost model, the distinct count against the hash-map
+// encoder it replaced, batch iteration across chunk and segment
 // boundaries, tombstones inside a chunk, empty/all-pruned scans, the storage
 // byte-split gauges, the capacity-based ApproxBytes accounting, and bitwise
 // EvalBatch/Eval equivalence.
 
 #include "storage/column.h"
 
+#include <algorithm>
+#include <limits>
+#include <random>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -134,6 +139,140 @@ TEST(EncodedColumnTest, EncodingNeverInflates) {
     auto col = EncodedColumn<ValueId>::Encode(std::move(s));
     EXPECT_LE(col.DataBytes(), plain);
     ExpectRoundTrip(col, keep);
+  }
+}
+
+/// The hash-map encoder the direct-indexed distinct count replaced, kept as
+/// the reference: Encode must choose the same encoding, with the same
+/// dictionary, codes and byte count.
+template <typename T>
+struct ReferenceEncoding {
+  ColEncoding enc = ColEncoding::kPlain;
+  std::vector<T> values;        ///< as EncodedColumn::values()
+  std::vector<uint32_t> codes;  ///< dictionary codes or FOR deltas
+  size_t data_bytes = 0;
+};
+
+template <typename T>
+ReferenceEncoding<T> ReferenceEncode(const std::vector<T>& data) {
+  std::unordered_map<T, uint32_t> dict;
+  std::vector<T> firsts;
+  size_t runs = 1;
+  T minv = data[0], maxv = data[0];
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (dict.emplace(data[i], static_cast<uint32_t>(dict.size())).second) {
+      firsts.push_back(data[i]);
+    }
+    if (i > 0 && data[i] != data[i - 1]) ++runs;
+    minv = std::min(minv, data[i]);
+    maxv = std::max(maxv, data[i]);
+  }
+  const size_t n = data.size();
+  const size_t distinct = dict.size();
+  const size_t plain_bytes = n * sizeof(T);
+  const size_t width = distinct <= (1u << 8) ? 1 : distinct <= (1u << 16) ? 2 : 4;
+  const size_t dict_bytes = distinct * sizeof(T) + n * width;
+  const size_t rle_bytes = runs * (sizeof(T) + sizeof(uint32_t));
+  const uint64_t range =
+      static_cast<uint64_t>(maxv) - static_cast<uint64_t>(minv);
+  const size_t fwidth = range < (1u << 8)      ? 1
+                        : range < (1u << 16)   ? 2
+                        : range < (1ull << 32) ? 4
+                                               : 0;
+  const size_t for_bytes =
+      fwidth == 0 ? static_cast<size_t>(-1) : sizeof(T) + n * fwidth;
+  ReferenceEncoding<T> r;
+  if (rle_bytes < plain_bytes && rle_bytes <= dict_bytes &&
+      rle_bytes <= for_bytes) {
+    r.enc = ColEncoding::kRle;
+    for (size_t i = 0; i < n; ++i) {
+      if (i == 0 || data[i] != data[i - 1]) r.values.push_back(data[i]);
+    }
+    r.data_bytes = rle_bytes;
+  } else if (dict_bytes < plain_bytes && dict_bytes <= for_bytes) {
+    r.enc = ColEncoding::kDict;
+    r.values = firsts;
+    for (const T v : data) r.codes.push_back(dict.at(v));
+    r.data_bytes = dict_bytes;
+  } else if (for_bytes < plain_bytes) {
+    r.enc = ColEncoding::kFor;
+    r.values = {minv};
+    for (const T v : data) {
+      r.codes.push_back(static_cast<uint32_t>(static_cast<uint64_t>(v) -
+                                              static_cast<uint64_t>(minv)));
+    }
+    r.data_bytes = for_bytes;
+  } else {
+    r.values = data;
+    r.data_bytes = plain_bytes;
+  }
+  return r;
+}
+
+/// A random column of `n` values from `distinct` draws in [base, base +
+/// range] (both ends always present), laid out in runs up to `max_run`.
+template <typename T>
+std::vector<T> RandomColumn(std::mt19937_64& rng, size_t n, T base,
+                            uint64_t range, size_t distinct, size_t max_run) {
+  std::vector<T> pool = {base, static_cast<T>(static_cast<uint64_t>(base) +
+                                              range)};
+  for (size_t i = 2; i < distinct; ++i) {
+    const uint64_t off = range == UINT64_MAX ? rng() : rng() % (range + 1);
+    pool.push_back(static_cast<T>(static_cast<uint64_t>(base) + off));
+  }
+  std::vector<T> col;
+  while (col.size() < n) {
+    const T v = pool[rng() % pool.size()];
+    const size_t run = 1 + rng() % max_run;
+    for (size_t i = 0; i < run && col.size() < n; ++i) col.push_back(v);
+  }
+  return col;
+}
+
+template <typename T>
+void ExpectEncodesLikeReference(std::mt19937_64& rng, T base) {
+  constexpr uint64_t kCut = EncodedColumn<T>::kDirectSlotsPerRow;
+  for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{300}, size_t{4096}}) {
+    // Ranges on both sides of the direct-table cutoff (kCut * n slots),
+    // from a constant column up to the widest the type holds.
+    std::vector<uint64_t> ranges = {0, 1, 255, kCut * n - 1, kCut * n,
+                                    kCut * n + 1, 70000, (1ull << 32) - 1,
+                                    1ull << 32};
+    ranges.push_back(static_cast<uint64_t>(std::numeric_limits<T>::max()) -
+                     static_cast<uint64_t>(base));
+    for (uint64_t range : ranges) {
+      for (size_t distinct : {size_t{2}, size_t{20}, size_t{300}, n}) {
+        for (size_t max_run : {size_t{1}, size_t{40}}) {
+          std::vector<T> col =
+              RandomColumn<T>(rng, n, base, range, distinct, max_run);
+          const ReferenceEncoding<T> want = ReferenceEncode(col);
+          std::vector<T> keep = col;
+          auto got = EncodedColumn<T>::Encode(std::move(col));
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " base=" << base << " range=" << range
+                       << " distinct=" << distinct << " run=" << max_run);
+          ASSERT_EQ(got.encoding(), want.enc);
+          EXPECT_EQ(got.DataBytes(), want.data_bytes);
+          EXPECT_TRUE(std::equal(got.values().begin(), got.values().end(),
+                                 want.values.begin(), want.values.end()));
+          for (size_t i = 0; i < want.codes.size(); ++i) {
+            ASSERT_EQ(got.code(i), want.codes[i]) << "row " << i;
+          }
+          ExpectRoundTrip(got, keep);
+        }
+      }
+    }
+  }
+}
+
+TEST(EncodedColumnTest, DistinctCountMatchesTheHashMapEncoder) {
+  std::mt19937_64 rng(2021);
+  for (ValueId base : {ValueId{0}, ValueId{9000}, ValueId{1u << 31}}) {
+    ExpectEncodesLikeReference<ValueId>(rng, base);
+  }
+  for (int64_t base : {int64_t{-5000}, int64_t{0}, int64_t{1} << 40,
+                       std::numeric_limits<int64_t>::min()}) {
+    ExpectEncodesLikeReference<int64_t>(rng, base);
   }
 }
 

@@ -2,27 +2,37 @@
 // without a checkpoint, checkpoint idempotence, rollback of uncommitted
 // intents (including an already-applied op whose commit never made it), the
 // poison latch after mid-protocol IO failures, the torn-tail cut on open, a
-// committed directory from an earlier build, and the subcube organization.
+// committed directory from an earlier build, the subcube organization, and
+// the insert redo record: its interning order on replay, plan-time refusal,
+// pinned intent, malformed payloads, and the row form earlier builds wrote.
 
 #include "io/recovery.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chrono/civil.h"
+#include "chrono/granule.h"
 #include "io/snapshot.h"
 #include "mdm/paper_example.h"
 #include "paper_actions.h"
 #include "io/csv.h"
+#include "io/insert_redo.h"
 #include "io/journal.h"
+#include "io/wire.h"
+#include "net/command.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "spec/parser.h"
 #include "testing/fault.h"
 #include "testing/spec_gen.h"
@@ -502,6 +512,330 @@ TEST_F(RecoveryTest, PlanDigestsArePinned) {
     EXPECT_EQ(reduce.affected_count, 43u);
     EXPECT_EQ(reduce.affected_digest, 8044351362873809680ull);
   }
+}
+
+// --- Insert redo --------------------------------------------------------
+
+/// A bottom-granularity row of the running example: `day` (a civil date),
+/// `url` (a URL value id, or the dimension's ⊤) and four measures.
+void AddClick(MultidimensionalObject* batch, CivilDate day, ValueId url,
+              int64_t m) {
+  Dimension& time = *batch->dimension(0);
+  const ValueId t = time.EnsureTimeValue(DayGranule(day)).take();
+  const ValueId cell[] = {t, url};
+  const int64_t meas[] = {m, 10 * m, 100 * m, 1000 * m};
+  ASSERT_TRUE(batch->AddBottomFact(cell, meas).ok());
+}
+
+uint64_t FileSize(const std::string& path) {
+  std::error_code ec;
+  auto n = std::filesystem::file_size(path, ec);
+  return ec ? 0 : static_cast<uint64_t>(n);
+}
+
+// Replay interns a batch's new days in the order the live insert saw them.
+// The batch is built over the warehouse's own dimensions, as a CSV load
+// builds it, so the live ids follow the rows: new days out of order and
+// repeated, plus a ⊤ coordinate. Recovery from the pre-insert snapshot must
+// assign the same ids — equal CRCs and byte-identical checkpoints.
+TEST_F(RecoveryTest, ReplayInternsNewDaysInRowOrder) {
+  auto dw = CreateExample(PaperSpec(*MakeIspExample().mo));
+  ASSERT_NE(dw, nullptr);
+  ASSERT_TRUE(dw->EnableSubcubes().ok());
+  ASSERT_TRUE(dw->Checkpoint().ok());
+
+  const IspExample ex = MakeIspExample();
+  const MultidimensionalObject& mo = dw->mo();
+  MultidimensionalObject batch(mo.fact_type(), mo.dimensions(),
+                               mo.measure_types());
+  const ValueId url_top = mo.dimension(1)->top_value();
+  AddClick(&batch, {2001, 3, 5}, ex.url_cnn, 1);
+  AddClick(&batch, {2001, 1, 2}, ex.url_gatech, 2);
+  AddClick(&batch, {2001, 3, 5}, ex.url_amazon, 3);
+  AddClick(&batch, {2001, 2, 9}, url_top, 4);
+  AddClick(&batch, {2001, 1, 2}, ex.url_health, 5);
+  AddClick(&batch, {2000, 12, 30}, ex.url_cnn, 6);
+  ASSERT_TRUE(dw->InsertFacts(batch).ok());
+
+  const std::string copy = dir_ + "_replay";
+  std::filesystem::remove_all(copy);
+  std::filesystem::copy(dir_, copy);
+  const uint32_t live_crc = net::WarehouseCrc(*dw->subcubes());
+  ASSERT_TRUE(dw->Checkpoint().ok());
+  auto live = ReadFile(dir_ + "/snapshot.dwsnap");
+
+  RecoveryStats stats;
+  auto back = DurableWarehouse::Open(copy, &stats);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(stats.ops_replayed, 1u);
+  EXPECT_EQ(net::WarehouseCrc(*back.value()->subcubes()), live_crc);
+  ASSERT_TRUE(back.value()->Checkpoint().ok());
+  auto replayed = ReadFile(copy + "/snapshot.dwsnap");
+  std::filesystem::remove_all(copy);
+  ASSERT_TRUE(live.ok() && replayed.ok());
+  EXPECT_TRUE(live.value() == replayed.value())
+      << "replay interned the batch's days in another order";
+}
+
+// A batch with a coordinate above bottom is refused when the insert plans,
+// before its intent: the journal keeps its size, the warehouse's dimensions
+// gain no value, the session is not poisoned, and the next insert commits.
+TEST_F(RecoveryTest, RefusedInsertNeverReachesTheJournal) {
+  for (bool subcubes : {false, true}) {
+    SCOPED_TRACE(subcubes ? "subcube organization" : "plain organization");
+    auto dw = CreateExample(PaperSpec(*MakeIspExample().mo));
+    ASSERT_NE(dw, nullptr);
+    if (subcubes) ASSERT_TRUE(dw->EnableSubcubes().ok());
+    const uint64_t lsn = dw->applied_lsn();
+    const uint64_t journal = FileSize(dir_ + "/journal.dwal");
+    const size_t time_values = dw->mo().dimension(0)->num_values();
+
+    // A batch over its own dimensions: a new day, then a new month.
+    IspExample ex = MakeIspExample();
+    MultidimensionalObject bad(ex.mo->fact_type(), ex.mo->dimensions(),
+                               ex.mo->measure_types());
+    AddClick(&bad, {2003, 4, 1}, ex.url_cnn, 1);
+    Dimension& time = *bad.dimension(0);
+    const ValueId month = time.EnsureTimeValue(MonthGranule(2003, 5)).take();
+    const ValueId cell[] = {month, ex.url_cnn};
+    const int64_t meas[] = {1, 2, 3, 4};
+    ASSERT_TRUE(bad.AddFact(cell, meas).ok());
+
+    EXPECT_EQ(dw->InsertFacts(bad).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(FileSize(dir_ + "/journal.dwal"), journal);
+    EXPECT_EQ(dw->mo().dimension(0)->num_values(), time_values);
+    EXPECT_FALSE(dw->poisoned());
+    EXPECT_EQ(dw->applied_lsn(), lsn);
+
+    IspExample good = MakeIspExample();
+    ASSERT_TRUE(dw->InsertFacts(*good.mo).ok());
+    EXPECT_EQ(dw->applied_lsn(), lsn + 1);
+    dw.reset();
+    std::filesystem::remove_all(dir_);
+  }
+}
+
+// Journal compatibility pin for inserts: the intent's affected count and
+// digest (FNV-1a over the kInsertFacts payload bytes) for a seeded batch.
+// A change to the payload's layout moves them.
+TEST_F(RecoveryTest, InsertIntentIsPinned) {
+  SeededWarehouse sw;
+  ClickstreamConfig cfg;
+  cfg.seed = 84;
+  cfg.num_domains = 6;
+  cfg.urls_per_domain = 3;
+  cfg.num_clicks = 10;
+  ClickstreamWorkload src = MakeClickstream(cfg);
+  const int64_t first = DaysFromCivil({2002, 1, 1});
+  MultidimensionalObject batch =
+      MakeClickBatch(src.time_dim, src.url_dim, first, first + 6, 300, 85);
+  auto dw = DurableWarehouse::Create(dir_, std::move(sw.w.mo),
+                                     std::move(sw.spec));
+  ASSERT_TRUE(dw.ok()) << dw.status().ToString();
+  ASSERT_TRUE(dw.value()->EnableSubcubes().ok());
+  ASSERT_TRUE(dw.value()->InsertFacts(batch).ok());
+  std::vector<IntentRecord> intents = JournalIntents(dir_);
+  ASSERT_EQ(intents.size(), 2u);
+  const IntentRecord& insert = intents[1];
+  ASSERT_EQ(insert.op.kind, JournalOpKind::kInsertFacts);
+  EXPECT_EQ(insert.op.aux.size(), 12594u);
+  EXPECT_EQ(insert.affected_count, 300u);
+  EXPECT_EQ(insert.affected_digest, 16112972793957456497ull);
+}
+
+/// The kInsertRows payload earlier builds wrote, kept as the reference the
+/// dictionary form must resolve alike with.
+std::string RowFormPayload(const MultidimensionalObject& batch) {
+  std::string aux;
+  wire::PutU32(&aux, static_cast<uint32_t>(batch.num_facts()));
+  wire::PutU32(&aux, static_cast<uint32_t>(batch.num_dimensions()));
+  wire::PutU32(&aux, static_cast<uint32_t>(batch.num_measures()));
+  for (FactId f = 0; f < batch.num_facts(); ++f) {
+    for (DimensionId d = 0; d < batch.num_dimensions(); ++d) {
+      const Dimension& dim = *batch.dimension(d);
+      const ValueId v = batch.Coord(f, d);
+      if (v == dim.top_value()) {
+        wire::PutU8(&aux, 2);
+      } else if (dim.is_time()) {
+        wire::PutU8(&aux, 1);
+        wire::PutU8(&aux, static_cast<uint8_t>(dim.granule(v).unit));
+        wire::PutI64(&aux, dim.granule(v).index);
+      } else {
+        wire::PutU8(&aux, 0);
+        wire::PutU32(&aux, dim.value_category(v));
+        wire::PutStr(&aux, dim.value_name(v));
+      }
+    }
+    for (MeasureId m = 0; m < batch.num_measures(); ++m) {
+      wire::PutI64(&aux, batch.Measure(f, m));
+    }
+  }
+  return aux;
+}
+
+/// A batch of the running example with new days out of order and a ⊤.
+MultidimensionalObject ExampleBatch(const IspExample& ex) {
+  MultidimensionalObject batch(ex.mo->fact_type(), ex.mo->dimensions(),
+                               ex.mo->measure_types());
+  AddClick(&batch, {2001, 3, 5}, ex.url_cnn, 1);
+  AddClick(&batch, {2001, 1, 2}, ex.url_gatech, 2);
+  AddClick(&batch, {2001, 3, 5}, ex.mo->dimension(1)->top_value(), 3);
+  AddClick(&batch, {2001, 2, 9}, ex.url_amazon, 4);
+  return batch;
+}
+
+// Both insert kinds decode to the same resolved batch — the same cells,
+// measures and newly interned values — into fresh copies of the warehouse.
+TEST(InsertRedoTest, RowFormAndDictionaryFormResolveAlike) {
+  const IspExample src = MakeIspExample();
+  const MultidimensionalObject batch = ExampleBatch(src);
+  auto dict = EncodeInsertRedo(batch);
+  ASSERT_TRUE(dict.ok()) << dict.status().ToString();
+  const std::string rows = RowFormPayload(batch);
+
+  const IspExample a = MakeIspExample();
+  const IspExample b = MakeIspExample();
+  auto from_dict = DecodeInsertRedo(JournalOpKind::kInsertFacts, dict.value(),
+                                    a.mo->dimensions(), 4);
+  auto from_rows = DecodeInsertRedo(JournalOpKind::kInsertRows, rows,
+                                    b.mo->dimensions(), 4);
+  ASSERT_TRUE(from_dict.ok()) << from_dict.status().ToString();
+  ASSERT_TRUE(from_rows.ok()) << from_rows.status().ToString();
+  EXPECT_EQ(from_dict.value().rows, 4u);
+  EXPECT_EQ(from_dict.value().cells, from_rows.value().cells);
+  EXPECT_EQ(from_dict.value().measures, from_rows.value().measures);
+  EXPECT_EQ(SaveWarehouse(*a.mo, {}), SaveWarehouse(*b.mo, {}));
+}
+
+// A payload cut at any byte, or naming a dictionary index out of range, is
+// a ParseError that interns nothing — never a crash or a read past the end.
+TEST(InsertRedoTest, MalformedPayloadsAreParseErrors) {
+  const IspExample src = MakeIspExample();
+  const MultidimensionalObject batch = ExampleBatch(src);
+  const std::string aux = EncodeInsertRedo(batch).take();
+  const IspExample target = MakeIspExample();
+  const size_t values = target.mo->dimension(0)->num_values();
+  for (size_t cut = 0; cut < aux.size(); ++cut) {
+    auto r = DecodeInsertRedo(JournalOpKind::kInsertFacts, aux.substr(0, cut),
+                              target.mo->dimensions(), 4);
+    ASSERT_FALSE(r.ok()) << "cut at " << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << "cut at " << cut;
+  }
+  EXPECT_EQ(DecodeInsertRedo(JournalOpKind::kInsertFacts, aux + "x",
+                             target.mo->dimensions(), 4)
+                .status()
+                .code(),
+            StatusCode::kParseError);
+
+  // The index columns follow the dictionaries; the first is the time
+  // dimension's, whose dictionary has 3 entries.
+  const size_t index_at = aux.size() - 4 * (2 * 4) - 8 * (4 * 4);
+  for (uint32_t bad : {3u, 4u, 0xffffffffu}) {
+    std::string broken = aux;
+    std::memcpy(broken.data() + index_at + 4, &bad, 4);
+    auto r = DecodeInsertRedo(JournalOpKind::kInsertFacts, broken,
+                              target.mo->dimensions(), 4);
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << bad;
+  }
+  EXPECT_EQ(target.mo->dimension(0)->num_values(), values);
+
+  const std::string rows = RowFormPayload(batch);
+  for (size_t cut = 0; cut < rows.size(); ++cut) {
+    auto r = DecodeInsertRedo(JournalOpKind::kInsertRows, rows.substr(0, cut),
+                              target.mo->dimensions(), 4);
+    ASSERT_FALSE(r.ok()) << "row form cut at " << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << cut;
+  }
+}
+
+// One journaled insert is one rooted span tree: io.durable with its plan,
+// intent, apply and commit layers inside it, and each journal fsync inside
+// the intent or the commit.
+TEST_F(RecoveryTest, DurableInsertIsOneRootedSpanTree) {
+  auto dw = CreateExample(PaperSpec(*MakeIspExample().mo));
+  ASSERT_NE(dw, nullptr);
+  ASSERT_TRUE(dw->EnableSubcubes().ok());
+  IspExample batch = MakeIspExample();
+  obs::TraceBuffer::Global().Enable(256);
+  Status inserted = dw->InsertFacts(*batch.mo);
+  std::vector<obs::TraceEvent> events = obs::TraceBuffer::Global().Snapshot();
+  obs::TraceBuffer::Global().Disable();
+  ASSERT_TRUE(inserted.ok()) << inserted.ToString();
+
+  const obs::TraceEvent* root = nullptr;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "io.durable") {
+      ASSERT_EQ(root, nullptr) << "two roots";
+      root = &e;
+    }
+  }
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->parent_id, 0u);
+  // A span's start_us is its close time minus its truncated duration, so
+  // either edge may be off by a microsecond.
+  auto inside = [](const obs::TraceEvent& child, const obs::TraceEvent& p) {
+    constexpr int64_t kSlackUs = 2;
+    return child.start_us + kSlackUs >= p.start_us &&
+           child.start_us + child.duration_us <=
+               p.start_us + p.duration_us + kSlackUs;
+  };
+  std::map<std::string, const obs::TraceEvent*> layers;
+  for (const obs::TraceEvent& e : events) {
+    if (e.parent_id == root->span_id) layers[e.name] = &e;
+  }
+  for (const char* name : {"io.durable.plan", "io.durable.intent",
+                           "io.durable.apply", "io.durable.commit"}) {
+    ASSERT_EQ(layers.count(name), 1u) << name;
+    EXPECT_EQ(layers[name]->trace_id, root->trace_id) << name;
+    EXPECT_TRUE(inside(*layers[name], *root)) << name;
+  }
+  int fsyncs = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name != "io.fsync") continue;
+    ++fsyncs;
+    const bool under_intent = e.parent_id == layers["io.durable.intent"]->span_id;
+    const bool under_commit = e.parent_id == layers["io.durable.commit"]->span_id;
+    EXPECT_TRUE(under_intent || under_commit);
+    EXPECT_TRUE(inside(e, *(under_intent ? layers["io.durable.intent"]
+                                         : layers["io.durable.commit"])));
+  }
+  EXPECT_EQ(fsyncs, 2);
+}
+
+// Recovery restores each saved cube in one call: at most one epoch bump per
+// cube, not one per row, and the recovery spans name its three phases.
+TEST_F(RecoveryTest, RecoveryRestoresEachCubeOnce) {
+  auto dw = CreateExample(PaperSpec(*MakeIspExample().mo));
+  ASSERT_NE(dw, nullptr);
+  ASSERT_TRUE(dw->EnableSubcubes().ok());
+  ASSERT_TRUE(dw->SynchronizePass(Now2000()).ok());
+  ASSERT_TRUE(dw->Checkpoint().ok());
+  const size_t cubes = dw->subcubes()->num_subcubes();
+  size_t rows = 0;
+  for (size_t i = 0; i < cubes; ++i) {
+    rows += dw->subcubes()->subcube(i).table.num_rows();
+  }
+  ASSERT_GT(rows, cubes);
+  dw.reset();
+
+  obs::TraceBuffer::Global().Enable(64);
+  auto back = DurableWarehouse::Open(dir_);
+  std::vector<obs::TraceEvent> events = obs::TraceBuffer::Global().Snapshot();
+  obs::TraceBuffer::Global().Disable();
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_LE(back.value()->subcubes()->epoch(), cubes);
+  uint64_t root = 0;
+  for (const obs::TraceEvent& e : events) {
+    if (e.name == "io.recover") root = e.span_id;
+  }
+  ASSERT_NE(root, 0u);
+  std::set<std::string> phases;
+  for (const obs::TraceEvent& e : events) {
+    if (e.parent_id == root) phases.insert(e.name);
+  }
+  EXPECT_EQ(phases, (std::set<std::string>{"io.recover.load",
+                                           "io.recover.restore",
+                                           "io.recover.replay"}));
 }
 
 }  // namespace

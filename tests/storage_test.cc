@@ -1,9 +1,12 @@
-// Columnar fact-table tests: append/read, physical deletion, cell
-// compaction, byte accounting, and MO round trips.
+// Columnar fact-table tests: append/read, batch append, physical deletion,
+// cell compaction, byte accounting, and MO round trips.
 
 #include "storage/fact_table.h"
 
 #include <stdlib.h>
+
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -295,6 +298,75 @@ TEST(FactTableTest, ErasingIntoTombstonedSegmentStaysConsistent) {
   for (size_t i = 0; i < expect.size(); ++i) {
     EXPECT_EQ(t.Coord(i, 0), expect[i]);
   }
+}
+
+/// Every observable of a table's layout: segments, zone maps, encodings,
+/// bytes and rows.
+void ExpectSameLayout(const FactTable& a, const FactTable& b) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  ASSERT_EQ(a.num_segments(), b.num_segments());
+  EXPECT_EQ(a.Bytes(), b.Bytes());
+  EXPECT_EQ(a.RowEquivalentBytes(), b.RowEquivalentBytes());
+  for (size_t s = 0; s < a.num_segments(); ++s) {
+    EXPECT_EQ(a.SegmentBegin(s), b.SegmentBegin(s));
+    EXPECT_EQ(a.SegmentLiveRows(s), b.SegmentLiveRows(s));
+    EXPECT_EQ(a.SegmentPhysicalRows(s), b.SegmentPhysicalRows(s));
+    EXPECT_EQ(a.SegmentTombstones(s), b.SegmentTombstones(s));
+    EXPECT_EQ(a.SegmentSealed(s), b.SegmentSealed(s));
+    for (size_t d = 0; d < a.num_dims(); ++d) {
+      EXPECT_EQ(a.SegmentDimEncoding(s, d), b.SegmentDimEncoding(s, d));
+      EXPECT_EQ(a.SegmentDimMin(s, d), b.SegmentDimMin(s, d));
+      EXPECT_EQ(a.SegmentDimMax(s, d), b.SegmentDimMax(s, d));
+    }
+    for (size_t m = 0; m < a.num_measures(); ++m) {
+      EXPECT_EQ(a.SegmentMeasureEncoding(s, m), b.SegmentMeasureEncoding(s, m));
+      EXPECT_EQ(a.SegmentMeasureMin(s, m), b.SegmentMeasureMin(s, m));
+      EXPECT_EQ(a.SegmentMeasureMax(s, m), b.SegmentMeasureMax(s, m));
+    }
+  }
+  for (RowId r = 0; r < a.num_rows(); ++r) {
+    for (size_t d = 0; d < a.num_dims(); ++d) {
+      ASSERT_EQ(a.Coord(r, d), b.Coord(r, d)) << "row " << r;
+    }
+    for (size_t m = 0; m < a.num_measures(); ++m) {
+      ASSERT_EQ(a.Measure(r, m), b.Measure(r, m)) << "row " << r;
+    }
+  }
+}
+
+// A batch append lays rows out exactly as one Append per row: the same seal
+// points, zone maps, encodings and bytes — also into a tail that carries
+// tombstones.
+TEST(FactTableTest, AppendRowsMatchesRowAppends) {
+  constexpr size_t kRows = 200;
+  std::vector<ValueId> cells;
+  std::vector<int64_t> meas;
+  for (size_t i = 0; i < kRows; ++i) {
+    cells.push_back(static_cast<ValueId>((i * 7919) % 61));
+    cells.push_back(static_cast<ValueId>(i / 9));
+    meas.push_back(static_cast<int64_t>(i % 5) - 2);
+  }
+  FactTable rows(2, 1, /*segment_rows=*/32);
+  FactTable batches(2, 1, /*segment_rows=*/32);
+  auto append = [&](size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i) {
+      rows.Append(std::span(cells).subspan(2 * i, 2),
+                  std::span(meas).subspan(i, 1));
+    }
+    batches.AppendRows(to - from,
+                       std::span(cells).subspan(2 * from, 2 * (to - from)),
+                       std::span(meas).subspan(from, to - from));
+  };
+  append(0, 5);
+  append(5, 77);  // fills the tail, seals two segments, leaves a tail
+  ExpectSameLayout(rows, batches);
+  std::vector<bool> erase(rows.num_rows(), false);
+  erase[70] = erase[72] = true;  // tombstones in the open tail
+  ASSERT_TRUE(rows.EraseRows(erase).ok());
+  ASSERT_TRUE(batches.EraseRows(erase).ok());
+  append(77, 200);
+  batches.AppendRows(0, {}, {});
+  ExpectSameLayout(rows, batches);
 }
 
 TEST(FactTableTest, SegmentRowsFromEnvironment) {

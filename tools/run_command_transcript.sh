@@ -71,6 +71,9 @@ EOF
 "$DWREDCTL" "$WORK/local.dwred" > "$WORK/local.raw"
 sed -n '/^---- shared ----$/,$p' "$WORK/local.raw" > "$WORK/local.out"
 
+# The output file exists before the launch: the forked child opens the
+# redirect, maybe after the first poll below.
+: > "$WORK/dwredd.out"
 "$DWREDD" --port=0 --snapshot="$WORK/warehouse.dwsnap" \
   > "$WORK/dwredd.out" 2> "$WORK/dwredd.err" &
 SERVER_PID=$!

@@ -20,6 +20,10 @@ WORK="$(mktemp -d /tmp/dwred_server_kill.XXXXXX)"
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
 boot_server() {
+  # The redirect below is opened by the forked child, maybe after the first
+  # poll: create (or empty) the file first, so the poll never reads a missing
+  # file or the previous server's listener line.
+  : > "$WORK/dwredd.out"
   "$DWREDD" --port=0 > "$WORK/dwredd.out" 2>&1 &
   SERVER_PID=$!
   ADDR=""

@@ -19,7 +19,10 @@ DEMO_DIR="$(cd "$4" && pwd)"
 WORK="$(mktemp -d /tmp/dwred_server_smoke.XXXXXX)"
 trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 
-# Boot on an ephemeral port; the listener line is the parse contract.
+# Boot on an ephemeral port; the listener line is the parse contract. The
+# output file exists before the launch: the forked child opens the redirect,
+# maybe after the first poll below.
+: > "$WORK/dwredd.out"
 "$DWREDD" --port=0 > "$WORK/dwredd.out" 2> "$WORK/dwredd.err" &
 SERVER_PID=$!
 ADDR=""
